@@ -15,8 +15,8 @@ writes ``BENCH_engine.json`` so CI can track faults/sec across commits:
                         certification retires most rows, survivors run
                         cache-blocked stacked kernels.
 
-Unfused outcomes are bit-identical across all four (asserted here); the
-run aborts if they ever diverge, so a throughput number never ships for
+Outcomes are bit-identical across all four (asserted here); the run
+aborts if they ever diverge, so a throughput number never ships for
 an engine that changed the science.  The run also aborts if the plan
 engine at batch_size=1 falls below the module engine — the regression
 this trajectory exists to keep fixed.
@@ -78,8 +78,8 @@ def sample_faults(engine, count: int, seed: int = 0) -> list[Fault]:
 
 
 def time_engine(engine, faults: list[Fault]) -> tuple[float, list]:
-    # Warm prefix caches and workspaces with one full batch so the timed
-    # run measures steady-state throughput.
+    # Warm prefix caches with one full batch so the timed run measures
+    # steady-state throughput.
     engine.classify_many(faults[: max(8, engine.batch_size)])
     start = time.perf_counter()
     outcomes = engine.classify_many(faults)
@@ -103,16 +103,6 @@ def _appended_history(out: Path, payload: dict) -> list[dict]:
         except (OSError, json.JSONDecodeError):
             previous = {}
         history = list(previous.get("history", []))
-        if not history and "engines" in previous:
-            # Upgrade a pre-history file: its latest block becomes the
-            # first trajectory entry.
-            history = [
-                {
-                    "engines": previous["engines"],
-                    "faults": previous.get("faults"),
-                    "speedup_vs_module": previous.get("speedup_vs_module"),
-                }
-            ]
     history.append(
         {
             "engines": payload["engines"],

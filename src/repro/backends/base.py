@@ -41,7 +41,6 @@ class BackendUnavailableError(RuntimeError):
 #: Op kinds every backend must dispatch (the kernel-table kinds).
 BACKEND_OP_KINDS = (
     "conv2d",
-    "conv2d_bn",
     "batchnorm2d",
     "linear",
     "relu",
@@ -92,7 +91,6 @@ class Backend:
             )
         self._dispatch = {
             "conv2d": self._run_conv2d,
-            "conv2d_bn": self._run_conv2d_bn,
             "batchnorm2d": self._run_batchnorm2d,
             "linear": self._run_linear,
             "relu": self._run_relu,
@@ -107,19 +105,16 @@ class Backend:
 
     # -- op-level dispatch (shared IR interpretation) ----------------------
 
-    def run_op(self, op, inputs, *, workspaces=None):
+    def run_op(self, op, inputs):
         """Execute one plan op on concrete input arrays."""
-        return self._dispatch[op.kind](op, *inputs, workspaces=workspaces)
+        return self._dispatch[op.kind](op, *inputs)
 
     def op_kinds(self) -> frozenset:
         """Op kinds this backend can dispatch."""
         return frozenset(self._dispatch)
 
-    def _run_conv2d(self, op, x, workspaces=None):
+    def _run_conv2d(self, op, x):
         m = op.module
-        cols_out = None
-        if workspaces is not None:
-            cols_out = self.conv_workspace(workspaces, op, m, x)
         return self.conv2d(
             x,
             m.weight.data,
@@ -127,82 +122,44 @@ class Backend:
             stride=m.stride,
             padding=m.padding,
             groups=m.groups,
-            cols_out=cols_out,
         )
 
-    def _run_conv2d_bn(self, op, x, workspaces=None):
-        """Fused conv + BN: fold the BN affine into the conv weights.
-
-        Numeric-changing (a folded multiply is not bitwise a conv
-        followed by a BN), so this kind only appears in fused plans.
-        The fold itself is tiny weight-space arithmetic done in numpy
-        regardless of backend; the convolution runs on the backend.
-        """
-        conv, bn = op.module, op.params["bn"]
-        scale = (bn.weight.data / np.sqrt(bn.running_var + bn.eps)).astype(
-            np.float32
-        )
-        shift = (bn.bias.data - bn.running_mean * scale).astype(np.float32)
-        weight = conv.weight.data * scale.reshape(-1, 1, 1, 1)
-        bias = shift if conv.bias is None else shift + scale * conv.bias.data
-        cols_out = None
-        if workspaces is not None:
-            cols_out = self.conv_workspace(workspaces, op, conv, x)
-        return self.conv2d(
-            x,
-            weight,
-            bias,
-            stride=conv.stride,
-            padding=conv.padding,
-            groups=conv.groups,
-            cols_out=cols_out,
-        )
-
-    def _run_batchnorm2d(self, op, x, workspaces=None):
+    def _run_batchnorm2d(self, op, x):
         m = op.module
         return self.batchnorm2d(
             x, m.weight.data, m.bias.data, m.running_mean, m.running_var,
             eps=m.eps,
         )
 
-    def _run_linear(self, op, x, workspaces=None):
+    def _run_linear(self, op, x):
         m = op.module
         return self.linear(
             x, m.weight.data, None if m.bias is None else m.bias.data
         )
 
-    def _run_relu(self, op, x, workspaces=None):
+    def _run_relu(self, op, x):
         return self.relu(x)
 
-    def _run_relu6(self, op, x, workspaces=None):
+    def _run_relu6(self, op, x):
         return self.relu6(x)
 
-    def _run_avg_pool2d(self, op, x, workspaces=None):
+    def _run_avg_pool2d(self, op, x):
         return self.avg_pool2d(x, op.module.kernel)
 
-    def _run_global_avg_pool2d(self, op, x, workspaces=None):
+    def _run_global_avg_pool2d(self, op, x):
         return self.global_avg_pool2d(x)
 
-    def _run_flatten(self, op, x, workspaces=None):
+    def _run_flatten(self, op, x):
         return self.flatten(x)
 
-    def _run_add(self, op, a, b, workspaces=None):
+    def _run_add(self, op, a, b):
         return self.add(a, b)
 
-    def _run_subsample2d(self, op, x, workspaces=None):
+    def _run_subsample2d(self, op, x):
         return self.subsample2d(x, op.params["stride"])
 
-    def _run_pad_channels(self, op, x, workspaces=None):
+    def _run_pad_channels(self, op, x):
         return self.pad_channels(x, op.params["before"], op.params["after"])
-
-    def conv_workspace(self, workspaces: dict, op, m, x):
-        """Preallocated im2col column buffer for (op, batch), or None.
-
-        Only backends that materialise im2col columns as numpy arrays
-        (the reference backend's fused plans) benefit; the default is no
-        workspace, which is always value-correct.
-        """
-        return None
 
     # -- array-level kernels (backend-specific numerics) -------------------
 
@@ -215,7 +172,6 @@ class Backend:
         stride: int = 1,
         padding: int = 0,
         groups: int = 1,
-        cols_out: np.ndarray | None = None,
     ) -> np.ndarray:
         raise NotImplementedError
 
@@ -271,7 +227,6 @@ class Backend:
         kw: int,
         stride: int,
         padding: int,
-        out: np.ndarray | None = None,
     ) -> np.ndarray:
         raise NotImplementedError
 

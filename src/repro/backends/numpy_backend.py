@@ -2,7 +2,7 @@
 
 Every kernel here *is* the :mod:`repro.nn.functional` routine that the
 module engine's ``forward_fast`` executes (same function objects, same
-argument order), so an unfused plan replayed through this backend is
+argument order), so a plan replayed through this backend is
 bitwise identical to the module tree by construction.  All other
 backends are measured against this one by the op_db conformance suite.
 """
@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.backends.base import Backend
 from repro.nn import functional as F
-from repro.tensor.im2col import conv_output_size
 from repro.tensor.im2col import im2col as _im2col
 
 
@@ -26,7 +25,6 @@ class NumpyBackend(Backend):
     # Tolerance is declared vs the reference — trivially bitexact here.
     OP_TOLERANCE = {
         "conv2d": "bitexact",
-        "conv2d_bn": "bitexact",
         "batchnorm2d": "bitexact",
         "linear": "bitexact",
         "relu": "bitexact",
@@ -48,7 +46,6 @@ class NumpyBackend(Backend):
     # KERNEL_TABLE predicate.
     OP_INVARIANCE = {
         "conv2d": "kernel",
-        "conv2d_bn": "kernel",
         "batchnorm2d": "always",
         "linear": "never",
         "relu": "always",
@@ -63,11 +60,9 @@ class NumpyBackend(Backend):
         "im2col": "always",
     }
 
-    def conv2d(self, x, weight, bias=None, *, stride=1, padding=0, groups=1,
-               cols_out=None):
+    def conv2d(self, x, weight, bias=None, *, stride=1, padding=0, groups=1):
         return F.conv2d(
-            x, weight, bias,
-            stride=stride, padding=padding, groups=groups, cols_out=cols_out,
+            x, weight, bias, stride=stride, padding=padding, groups=groups
         )
 
     def batchnorm2d(self, x, gamma, beta, running_mean, running_var, *,
@@ -104,24 +99,5 @@ class NumpyBackend(Backend):
     def gemm(self, a, b):
         return a @ b
 
-    def im2col(self, x, kh, kw, stride, padding, out=None):
-        return _im2col(x, kh, kw, stride, padding, out=out)
-
-    def conv_workspace(self, workspaces, op, m, x):
-        """Preallocated im2col column buffer for (op, batch) — fused plans."""
-        k = m.kernel_size
-        if k == 1 and m.padding == 0 and m.groups == 1:
-            return None  # pointwise path never materialises columns
-        if m.groups == m.in_channels and m.out_channels == m.in_channels:
-            return None  # depthwise path never materialises columns
-        n, c, h, w = x.shape
-        p = conv_output_size(h, k, m.stride, m.padding) * conv_output_size(
-            w, k, m.stride, m.padding
-        )
-        key = (op.index, n)
-        buf = workspaces.get(key)
-        shape = (n, c * k * k, p)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape, dtype=np.float32)
-            workspaces[key] = buf
-        return buf
+    def im2col(self, x, kh, kw, stride, padding):
+        return _im2col(x, kh, kw, stride, padding)

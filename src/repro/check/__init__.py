@@ -8,8 +8,8 @@ runs:
   over a captured :class:`~repro.runtime.plan.ExecutionPlan` (shapes,
   dtypes, SSA slots, ``affected_ops`` soundness, cache safety,
   batch-invariance audit).  Wired into every plan trust boundary:
-  ``capture_plan``, ``fuse_plan``, ``PlanEngine.__init__`` and the
-  distributed merge (shards must attest a verified plan fingerprint).
+  ``capture_plan``, ``PlanEngine.__init__`` and the distributed merge
+  (shards must attest a verified plan fingerprint).
 - :func:`lint_paths` — AST determinism rules (D201–D206) over the
   source tree, with inline suppressions and a committed baseline.
 - :mod:`repro.check.protocol` — the distributed queue protocol, proved

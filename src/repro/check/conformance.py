@@ -8,9 +8,8 @@ attested structurally (``check_plan_vectorized`` declares the
 fingerprints compatible) — this check runs both engines over the same
 campaign-representative fault sample and compares the full per-fault
 prediction matrices and classified outcomes row by row.  The module
-engine (bit-identical by the capture contract) and the fused engine
-(numeric-changing by design; executed and reported, never gated) ride
-along, so all four engines exercise the backend interface per run.
+engine (bit-identical by the capture contract) rides along, so all
+three engines exercise the backend interface per run.
 With ``backend=`` set to a non-reference backend, the comparison is
 instead that backend's plan engine against the reference plan engine,
 judged by *tolerance* (their fingerprints differ by construction, so no
@@ -79,10 +78,6 @@ class ConformanceReport:
     #: Module-engine (fault, image) cells differing from the exact plan
     #: engine; None when the module engine did not run.
     module_prediction_flips: int | None = None
-    #: Fused-engine outcome flips vs the exact plan engine — reported,
-    #: never gated (BN-folding is numeric-changing by design); None when
-    #: the fused engine did not run.
-    fused_outcome_flips: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -100,7 +95,6 @@ class ConformanceReport:
             "flipped_faults": list(self.flipped_faults),
             "backend": self.backend,
             "module_prediction_flips": self.module_prediction_flips,
-            "fused_outcome_flips": self.fused_outcome_flips,
         }
 
 
@@ -142,7 +136,6 @@ def run_conformance(
     batch_size: int = 16,
     backend: str | None = None,
     include_module: bool | None = None,
-    include_fused: bool | None = None,
 ) -> ConformanceReport:
     """Compare engines fault by fault over one campaign-representative sample.
 
@@ -152,10 +145,9 @@ def run_conformance(
 
     With the default (reference) *backend*, the engine under test is the
     vectorized engine against the exact plan engine, plus — unless
-    disabled — a module-engine bit-identity check (gating) and a
-    fused-engine run (reported only).  With a non-reference *backend*,
-    the engine under test is that backend's plan engine; flips are
-    judged against *tolerance* alone.
+    disabled — a module-engine bit-identity check (gating).  With a
+    non-reference *backend*, the engine under test is that backend's
+    plan engine; flips are judged against *tolerance* alone.
     """
     # Lazy: check is imported by runtime's plan layer; the engines pull
     # in the whole runtime stack.
@@ -178,8 +170,6 @@ def run_conformance(
     reference_run = resolved.is_reference
     if include_module is None:
         include_module = reference_run
-    if include_fused is None:
-        include_fused = reference_run
 
     data = SynthCIFAR("test", size=eval_size, seed=1234)
     exact = PlanEngine(
@@ -229,17 +219,6 @@ def run_conformance(
         module_flips = int((preds_module != np.asarray(preds_exact)).sum())
         ok = ok and module_flips == 0
 
-    fused_flips = None
-    if include_fused:
-        fused_engine = PlanEngine(
-            model, data.images, data.labels, batch_size=batch_size,
-            fuse=True,
-        )
-        outcomes_fused = fused_engine.classify_many(sample)
-        fused_flips = sum(
-            1 for a, b in zip(outcomes_exact, outcomes_fused) if a != b
-        )
-
     return ConformanceReport(
         model=name,
         faults=len(sample),
@@ -255,7 +234,6 @@ def run_conformance(
         flipped_faults=tuple(flipped[:32]),
         backend=resolved.name,
         module_prediction_flips=module_flips,
-        fused_outcome_flips=fused_flips,
     )
 
 

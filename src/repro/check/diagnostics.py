@@ -14,7 +14,7 @@ from dataclasses import dataclass
 #: raise; warnings are surfaced by ``repro-check plan`` (and fail the
 #: run only under ``--strict``).
 PLAN_RULES: dict[str, str] = {
-    "P101": "unknown op kind (or a fused kind appearing in an unfused plan)",
+    "P101": "unknown op kind",
     "P102": "SSA discipline violated: duplicate slot assignment, output "
     "aliasing an input, out-of-range output slot, or bad op indexing",
     "P103": "read-before-write: an op consumes a slot no earlier op defined",
@@ -33,9 +33,6 @@ PLAN_RULES: dict[str, str] = {
     "classification table",
     "P121": "op kind is not classified in the kernel table (new kernels "
     "must be vetted for batch invariance before capture)",
-    "P122": "vectorized mode requires an unfused plan: fused numerics "
-    "carry no absorption certificates and break the exact-twin "
-    "fingerprint compatibility claim",
     "P123": "no absorption row for this op: the vectorized certifier "
     "cannot bound fault propagation through it, so rows reaching it "
     "never certify (exact fallback, correct but no speedup)",

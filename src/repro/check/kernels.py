@@ -16,7 +16,7 @@ truth** for the reference backend: plan capture
 entries of :meth:`repro.backends.Backend.batch_invariant` both read
 their verdicts from this table, and the verifier's ``P120`` audit
 re-checks every recorded flag against it — catching post-capture drift
-in fused or hand-built plans rather than divergence between two
+in hand-built plans rather than divergence between two
 hand-maintained copies of the predicate.  The table's claims themselves
 are kept honest *empirically*: the op_db conformance suite
 (:mod:`repro.check.opdb`) stacks variant batches through every kernel
@@ -74,13 +74,6 @@ def _conv_shape(op: OpSpec, shapes: list[Shape]) -> Shape:
         raise ShapeError(
             f"conv weight shape {tuple(m.weight.data.shape)} != {expect}"
         )
-    if op.kind == "conv2d_bn":
-        bn = op.params.get("bn")
-        if bn is None or bn.num_features != m.out_channels:
-            raise ShapeError(
-                "fused conv2d_bn needs a bn module matching out_channels "
-                f"({m.out_channels})"
-            )
     return (
         m.out_channels,
         _conv_out(h, k, m.stride, m.padding),
@@ -204,7 +197,6 @@ KERNEL_TABLE: dict[str, KernelSpec] = {
     spec.kind: spec
     for spec in (
         KernelSpec("conv2d", True, _conv_batch_invariant, _conv_shape),
-        KernelSpec("conv2d_bn", True, _conv_batch_invariant, _conv_shape),
         KernelSpec("batchnorm2d", True, _always_batch_invariant, _bn_shape),
         KernelSpec("linear", True, _never_batch_invariant, _linear_shape),
         KernelSpec("relu", False, _always_batch_invariant, _same_shape),

@@ -20,10 +20,10 @@ over every (kind, sample, backend) triple:
 3. **plan-vs-module equivalence** — the reference backend's op-level
    kernel against the owning module's ``forward_fast``, bitwise.
 
-Every kind in ``OP_KINDS`` and ``FUSED_OP_KINDS`` must have at least one
-sample here — registry-completeness is asserted by tier-1 tests, so a
-new op kind cannot land without a kernel-table row, a backend kernel,
-*and* an op_db generator.
+Every kind in ``OP_KINDS`` must have at least one sample here —
+registry-completeness is asserted by tier-1 tests, so a new op kind
+cannot land without a kernel-table row, a backend kernel, *and* an
+op_db generator.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ class BuiltSample:
     runner calls through the backend's array-level methods with
     ``inputs`` (+ ``args``) directly.  ``module``, when set, is the
     live module whose ``forward_fast`` the reference output must match
-    bitwise; it is deliberately absent for ``conv2d_bn`` (the fold is
-    numeric-changing versus conv-then-bn by design).
+    bitwise.
     """
 
     kind: str
@@ -163,20 +162,6 @@ def _conv_sample(
         )
 
     return OpSample("conv2d", name, build)
-
-
-def _conv_bn_sample(name: str, **conv_kwargs: Any) -> OpSample:
-    def build(rng: np.random.Generator) -> BuiltSample:
-        conv = Conv2d(4, 6, 3, padding=1, rng=rng, **conv_kwargs)
-        bn = _randomized_bn(rng, 6)
-        x = _tensor(rng, (2, 4, 8, 8))
-        return BuiltSample(
-            kind="conv2d_bn",
-            op=_op("conv2d_bn", module=conv, bn=bn),
-            inputs=[x],
-        )
-
-    return OpSample("conv2d_bn", name, build)
 
 
 def _bn_sample(
@@ -289,7 +274,6 @@ OP_SAMPLES: dict[str, tuple[OpSample, ...]] = {
         _conv_sample("denormal_heavy", 3, 4, 3, 8, padding=1, denormal=True),
         _conv_sample("noncontig_input", 3, 4, 3, 8, padding=1, noncontig=True),
     ),
-    "conv2d_bn": (_conv_bn_sample("k3_pad1_fold"),),
     "batchnorm2d": (
         _bn_sample("standard", 5, 7),
         _bn_sample("degenerate_c1", 1, 8),

@@ -29,7 +29,7 @@ from repro.check.kernels import (
     param_dtype_issues,
 )
 from repro.nn.module import Module
-from repro.runtime.plan import FUSED_OP_KINDS, OP_KINDS, ExecutionPlan
+from repro.runtime.plan import OP_KINDS, ExecutionPlan
 
 #: Default abstract input: one CIFAR sample (all zoo models take 32x32x3).
 DEFAULT_INPUT_SHAPE = (3, 32, 32)
@@ -121,7 +121,7 @@ def plan_fingerprint(
     the execution strategy the fingerprint attests: ``"exact"`` (the
     default, hash-stable with earlier releases) or ``"vectorized"`` —
     the variant-axis certified mode runs the same plan under a distinct
-    fingerprint, exactly as fusions already do.
+    fingerprint.
 
     The kernel backend qualifies the fingerprint the same way: a
     non-reference backend's attestation (name, version, per-op
@@ -137,7 +137,9 @@ def plan_fingerprint(
         "num_slots": plan.num_slots,
         "input_slot": plan.input_slot,
         "output_slot": plan.output_slot,
-        "fusions": list(plan.fusions),
+        # Constant: keeps plan fingerprints recorded in earlier
+        # checkpoints and queues valid.
+        "fusions": [],
         "ops": [
             [
                 op.kind,
@@ -188,7 +190,6 @@ def verify_plan(
         err("P103", f"input slot {plan.input_slot} out of range")
         return diags
 
-    known_kinds = OP_KINDS | (FUSED_OP_KINDS if plan.fusions else frozenset())
     defined: dict[int, int] = {plan.input_slot: -1}  # slot -> producing op
     shapes: dict[int, tuple[int, ...] | None] = {plan.input_slot: tuple(input_shape)}
     structural_errors = False
@@ -197,15 +198,8 @@ def verify_plan(
         if op.index != position:
             err("P102", f"op.index {op.index} != position {position}", position)
             structural_errors = True
-        if op.kind not in known_kinds:
-            if op.kind in FUSED_OP_KINDS:
-                err(
-                    "P101",
-                    f"fused kind {op.kind!r} in a plan with no declared fusions",
-                    op.index,
-                )
-            else:
-                err("P101", f"unknown op kind {op.kind!r}", op.index)
+        if op.kind not in OP_KINDS:
+            err("P101", f"unknown op kind {op.kind!r}", op.index)
             structural_errors = True
 
         for slot in op.inputs:
@@ -233,7 +227,7 @@ def verify_plan(
 
         spec = KERNEL_TABLE.get(op.kind)
         if spec is None:
-            if op.kind in known_kinds:
+            if op.kind in OP_KINDS:
                 err(
                     "P121",
                     f"kind {op.kind!r} has no row in the kernel "
@@ -383,24 +377,12 @@ def verify_plan_vectorized(
 ) -> list[Diagnostic]:
     """Diagnostics for running *plan* under the vectorized mode.
 
-    On top of every exact-mode check, the vectorized certifier needs (a)
-    an unfused plan — its no-flip certificates and the bit-identity
-    declaration are stated against exact numerics (``P122``) — and (b)
-    an absorption row for every op so fault-propagation bounds exist;
-    ops without one only disable certification beyond them (``P123``,
+    On top of every exact-mode check, the vectorized certifier needs an
+    absorption row for every op so fault-propagation bounds exist; ops
+    without one only disable certification beyond them (``P123``,
     warning: correct but no speedup).
     """
     diags = verify_plan(plan, input_shape=input_shape)
-    if plan.fusions:
-        diags.append(
-            Diagnostic(
-                "P122",
-                "error",
-                f"plan declares fusions {list(plan.fusions)}; vectorized "
-                "certification is only sound against the exact unfused "
-                "numerics",
-            )
-        )
     shapes = _abstract_shapes(plan, input_shape)
     for op in plan.ops:
         in_shape = shapes.get(op.inputs[0]) if op.inputs else None

@@ -70,7 +70,7 @@ def telemetry_from_args(
 
     *on_event* (a ``callable(Event)``) forces an enabled sink even
     without flags — CLIs use it to print live progress from ``progress``
-    events instead of the deprecated callback plumbing.
+    events.
     """
     if args.trace is None and args.metrics_out is None and on_event is None:
         return None

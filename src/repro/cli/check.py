@@ -3,9 +3,9 @@
 Three subcommands:
 
 - ``repro-check plan`` — capture and verify execution plans for
-  registered models (``--all-models`` covers the zoo, fused and
-  unfused).  Exit 1 if any plan has errors; ``--strict`` also fails on
-  warnings.  ``--timings-out`` records per-plan verifier wall time.
+  registered models (``--all-models`` covers the zoo).  Exit 1 if any
+  plan has errors; ``--strict`` also fails on warnings.
+  ``--timings-out`` records per-plan verifier wall time.
 - ``repro-check lint`` — run the determinism rules (D201–D206) over
   source paths, honouring ``# repro-check: ignore[RULE]`` suppressions
   and an optional committed baseline.  ``--write-baseline`` adopts the
@@ -65,12 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--all-models",
         action="store_true",
         help="verify every registered model",
-    )
-    plan.add_argument(
-        "--fuse",
-        choices=["unfused", "fused", "both"],
-        default="both",
-        help="which plan variants to verify (default: both)",
     )
     plan.add_argument(
         "--strict",
@@ -206,46 +200,39 @@ def _cmd_plan(args) -> int:
             file=sys.stderr,
         )
         return 2
-    variants = {
-        "unfused": [False],
-        "fused": [True],
-        "both": [False, True],
-    }[args.fuse]
     failed = False
     timings = []
     for name in names:
-        for fuse in variants:
-            model = create_model(name)
-            # capture_plan verifies internally; verify again explicitly
-            # to report diagnostics (including warnings) and wall time.
-            plan = capture_plan(model, fuse=fuse)
-            start = time.perf_counter()
-            diagnostics = verify_plan(plan)
-            seconds = time.perf_counter() - start
-            errors = [d for d in diagnostics if d.severity == "error"]
-            warnings = [d for d in diagnostics if d.severity == "warning"]
-            verdict = "ok"
-            if errors or (args.strict and warnings):
-                verdict = "FAIL"
-                failed = True
-            elif warnings:
-                verdict = "warn"
-            print(
-                f"{verdict:4s} {name:18s} fused={str(fuse):5s} "
-                f"ops={len(plan):3d} verify={1e3 * seconds:6.2f} ms"
-            )
-            for diagnostic in diagnostics:
-                print(f"     {diagnostic}")
-            timings.append(
-                {
-                    "model": name,
-                    "fused": fuse,
-                    "ops": len(plan),
-                    "verify_seconds": seconds,
-                    "errors": len(errors),
-                    "warnings": len(warnings),
-                }
-            )
+        model = create_model(name)
+        # capture_plan verifies internally; verify again explicitly to
+        # report diagnostics (including warnings) and wall time.
+        plan = capture_plan(model)
+        start = time.perf_counter()
+        diagnostics = verify_plan(plan)
+        seconds = time.perf_counter() - start
+        errors = [d for d in diagnostics if d.severity == "error"]
+        warnings = [d for d in diagnostics if d.severity == "warning"]
+        verdict = "ok"
+        if errors or (args.strict and warnings):
+            verdict = "FAIL"
+            failed = True
+        elif warnings:
+            verdict = "warn"
+        print(
+            f"{verdict:4s} {name:18s} ops={len(plan):3d} "
+            f"verify={1e3 * seconds:6.2f} ms"
+        )
+        for diagnostic in diagnostics:
+            print(f"     {diagnostic}")
+        timings.append(
+            {
+                "model": name,
+                "ops": len(plan),
+                "verify_seconds": seconds,
+                "errors": len(errors),
+                "warnings": len(warnings),
+            }
+        )
     if args.timings_out:
         payload = {
             "plans": timings,

@@ -90,6 +90,12 @@ def _build_engine(runtime: dict, *, telemetry=None):
     set, so every host reconstructs the same engine fingerprint (and
     ``verify_context_config`` can prove it did).
     """
+    if runtime.get("fuse"):
+        raise DistError(
+            "this campaign was submitted with fused numerics (BN folded "
+            "into conv), which this release no longer computes; resubmit "
+            "it to a fresh queue"
+        )
     from repro.runtime import create_engine
 
     model = create_model(runtime["model"], pretrained=True)
@@ -102,7 +108,6 @@ def _build_engine(runtime: dict, *, telemetry=None):
         # "engine" key; they were computed by the module engine.
         kind=runtime.get("engine", "module"),
         policy=runtime.get("policy", "accuracy_drop"),
-        fuse=bool(runtime.get("fuse", False)),
         # Queues without a "backend" key predate kernel backends (or were
         # submitted on the reference); the worker's env still applies.
         backend=runtime.get("backend"),
@@ -150,14 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="plan",
         choices=("plan", "plan_vectorized", "module"),
-        help="execution engine; unfused plan, vectorized and module "
-        "outcomes are bit-identical (default: plan)",
-    )
-    submit.add_argument(
-        "--fuse",
-        action="store_true",
-        help="enable the plan engine's numeric-changing fusions "
-        "(BN-folding, workspace reuse); changes the campaign fingerprint",
+        help="execution engine; plan, vectorized and module outcomes "
+        "are bit-identical (default: plan)",
     )
     submit.add_argument(
         "--backend",
@@ -412,7 +411,6 @@ def _cmd_submit(args) -> int:
             "eval_size": args.eval_size,
             "policy": args.policy,
             "engine": args.engine,
-            "fuse": args.fuse,
             "backend": args.backend,
         }
     )
@@ -421,7 +419,6 @@ def _cmd_submit(args) -> int:
         "eval_size": args.eval_size,
         "policy": args.policy,
         "engine": args.engine,
-        "fuse": bool(args.fuse),
         "golden_accuracy": engine.golden_accuracy,
     }
     engine_backend = getattr(engine, "backend", None)
@@ -569,7 +566,6 @@ def _cmd_work(args) -> int:
                 eval_size=int(runtime["eval_size"]),
                 policy=runtime.get("policy", "accuracy_drop"),
                 engine_kind=runtime.get("engine", "module"),
-                fuse=bool(runtime.get("fuse", False)),
                 backend=runtime.get("backend"),
                 telemetry=telemetry,
             )

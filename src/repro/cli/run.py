@@ -65,15 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-evaluation engine: 'plan' (op-granular caching, "
         "batched faults; default), 'plan_vectorized' (certified "
         "variant-axis stacking) or 'module' (stage-granular "
-        "reference). Unfused outcomes are bit-identical in all three.",
-    )
-    parser.add_argument(
-        "--fuse",
-        action="store_true",
-        help="plan engine only: enable numeric-changing fusions "
-        "(BN-folding into conv, im2col workspace reuse). Changes the "
-        "engine fingerprint; results cache separately and never merge "
-        "with unfused campaigns.",
+        "reference). Outcomes are bit-identical in all three.",
     )
     parser.add_argument(
         "--backend",
@@ -133,7 +125,6 @@ def main(argv: list[str] | None = None) -> int:
             args.model,
             eval_size=args.eval_size,
             engine_kind=args.engine,
-            fuse=args.fuse,
             backend=args.backend,
             batch_size=args.batch_size,
             workers=args.workers,

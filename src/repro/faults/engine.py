@@ -96,8 +96,7 @@ class FaultInjectionEngine:
     Owns everything that is independent of *how* a faulty forward pass
     is computed: the eval set, the weight-layer enumeration and injector,
     the classification policy, the config-covering fingerprint, and the
-    masked-fault short-circuit.  Subclasses set :attr:`kind` (and, for
-    numeric-changing variants, :attr:`fusions`) and implement
+    masked-fault short-circuit.  Subclasses set :attr:`kind` and implement
     :meth:`_predictions_with_fault`; batching engines additionally
     override :meth:`predictions_for_faults` and raise
     :attr:`batch_size` above one.
@@ -105,8 +104,6 @@ class FaultInjectionEngine:
 
     #: Engine identity folded into the fingerprint ("module" / "plan").
     kind = "base"
-    #: Numeric-changing rewrites active in this engine (fingerprinted).
-    fusions: tuple[str, ...] = ()
     #: Faults evaluated per tail pass; 1 means classic one-at-a-time.
     batch_size = 1
 
@@ -142,11 +139,11 @@ class FaultInjectionEngine:
 
         Covers the golden weight bits and eval images *and* everything
         that decides an outcome given them: the float format, the
-        classification policy and threshold, the engine kind, and any
-        numeric-changing fusions.  Two engines sharing a fingerprint
-        classify every fault identically; checkpoints and distributed
-        shards compare it so progress recorded under different weights,
-        policies or fused numerics is never resumed or merged.
+        classification policy and threshold, and the engine kind.  Two
+        engines sharing a fingerprint classify every fault identically;
+        checkpoints and distributed shards compare it so progress
+        recorded under different weights or policies is never resumed
+        or merged.
 
         *kind* substitutes another engine kind into the identity — used
         by engines whose outcomes are attested bit-identical to a twin
@@ -160,7 +157,9 @@ class FaultInjectionEngine:
                 "policy": self.policy,
                 "threshold": self.threshold,
                 "engine": self.kind if kind is None else kind,
-                "fusions": list(self.fusions),
+                # Constant: keeps fingerprints recorded in earlier
+                # checkpoints and queues valid.
+                "fusions": [],
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -225,9 +224,9 @@ class FaultInjectionEngine:
 
     def _classify_many(self, faults: Sequence[Fault]) -> list[FaultOutcome]:
         # Faults are grouped by target layer at *every* batch size, not
-        # just on batching engines: per-layer workspaces (the plan
-        # engine's im2col columns cache, prefix materialisations) are
-        # reused across consecutive same-layer faults, where a shuffled
+        # just on batching engines: per-layer caches (the plan engine's
+        # im2col columns cache, prefix materialisations) are reused
+        # across consecutive same-layer faults, where a shuffled
         # campaign order would rebuild them per fault.  Outcomes are
         # scattered back by position, so results are order-independent.
         outcomes: list[FaultOutcome | None] = [None] * len(faults)
@@ -239,7 +238,7 @@ class FaultInjectionEngine:
                 by_layer.setdefault(fault.layer, []).append(pos)
         for positions in by_layer.values():
             if self.batch_size == 1:
-                # Keep the grouping (workspace reuse) but skip the
+                # Keep the grouping (cache reuse) but skip the
                 # batched dispatch: predictions_for_faults would
                 # np.stack every single-row result, which is measurable
                 # against the <2% NullTelemetry overhead budget.
@@ -271,8 +270,8 @@ class InferenceEngine(FaultInjectionEngine):
 
     This is the *module* engine: it walks ``stage_modules()`` and caches
     golden activations at stage granularity.  The op-granular
-    :class:`repro.runtime.PlanEngine` is bit-identical (when unfused)
-    and faster; this engine remains the reference implementation.
+    :class:`repro.runtime.PlanEngine` is bit-identical and faster; this
+    engine remains the reference implementation.
 
     Parameters
     ----------

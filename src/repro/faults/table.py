@@ -18,8 +18,6 @@ import json
 import multiprocessing
 import os
 import time
-import warnings
-from collections.abc import Callable
 
 import numpy as np
 
@@ -100,11 +98,10 @@ def campaign_config(engine: FaultInjectionEngine, space: FaultSpace) -> dict:
     """Identity of an exhaustive campaign.
 
     Includes the engine fingerprint (weights, eval images, policy, engine
-    kind, fusions) so a checkpoint taken against different weights (e.g.
-    after retraining) or different numerics (a fused plan engine) is
-    never resumed — and, via :mod:`repro.dist`, so shards computed under
-    a mismatching configuration are never merged.  The engine kind and
-    fusion list are carried explicitly too, for human-readable refusal
+    kind) so a checkpoint taken against different weights (e.g. after
+    retraining) is never resumed — and, via :mod:`repro.dist`, so shards
+    computed under a mismatching configuration are never merged.  The
+    engine kind is carried explicitly too, for human-readable refusal
     messages and ``repro-stats`` display.
 
     A non-reference kernel backend changes the campaign's numerics, so
@@ -120,7 +117,9 @@ def campaign_config(engine: FaultInjectionEngine, space: FaultSpace) -> dict:
         "eval_images": int(len(engine.images)),
         "layer_sizes": [layer.size for layer in space.layers],
         "engine": getattr(engine, "kind", "module"),
-        "fusions": list(getattr(engine, "fusions", ())),
+        # Constant: keeps config hashes recorded in earlier checkpoints
+        # and queues valid.
+        "fusions": [],
         "golden_sha256": engine.fingerprint(),
     }
     backend = getattr(engine, "backend", None)
@@ -253,7 +252,6 @@ class OutcomeTable:
         workers: int | None = 1,
         checkpoint: str | os.PathLike | None = None,
         telemetry: Telemetry | None = None,
-        progress: Callable[[int, int], None] | None = None,
         progress_every: int = 20_000,
     ) -> "OutcomeTable":
         """Classify every fault in *space* using *engine*.
@@ -273,19 +271,7 @@ class OutcomeTable:
         writes and resume hits, worker heartbeats, and ``progress``
         events roughly every *progress_every* faults.  The default
         :class:`~repro.telemetry.NullTelemetry` adds no measurable cost.
-
-        .. deprecated::
-            *progress* — pass *telemetry* and read its ``progress``
-            events instead; the callback is kept as a shim and still
-            fires with ``(done, total)`` at the same cadence.
         """
-        if progress is not None:
-            warnings.warn(
-                "from_exhaustive(progress=...) is deprecated; pass "
-                "telemetry=Telemetry(...) and read its progress events",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         tele = resolve_telemetry(telemetry)
         start = time.time()
         total = space.total_population
@@ -365,8 +351,6 @@ class OutcomeTable:
             if done - reported >= progress_every or done == total:
                 if tele.enabled:
                     tele.emit("progress", done=done, total=total)
-                if progress:
-                    progress(done, total)
                 reported = done
 
         if workers > 1 and len(pending) > 1:

@@ -20,16 +20,12 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
     groups: int = 1,
-    cols_out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Grouped 2-D convolution (inference only).
 
     Specialised fast paths handle the two layer shapes MobileNetV2 leans
     on — pointwise (1x1) and depthwise (groups == channels) convolutions —
-    without materialising im2col columns.  *cols_out* optionally supplies
-    a preallocated im2col workspace (ignored by the pointwise/depthwise
-    paths, which build no columns); the result is value-identical either
-    way.
+    without materialising im2col columns.
     """
     n, c, h, w = x.shape
     oc, cg, kh, kw = weight.shape
@@ -51,7 +47,7 @@ def conv2d(
             "nchwij,cij->nchw", windows, weight.reshape(c, kh, kw), optimize=True
         )
     else:
-        cols = im2col(x, kh, kw, stride, padding, out=cols_out)
+        cols = im2col(x, kh, kw, stride, padding)
         if groups == 1:
             out = np.matmul(weight.reshape(oc, cg * kh * kw), cols)
         else:

@@ -4,8 +4,7 @@
 forward-only :class:`ExecutionPlan` of primitive ops over explicit
 buffer slots (:func:`capture_plan`), and classifies weight faults over
 it with :class:`PlanEngine` — op-granular prefix caching plus batched
-same-layer fault evaluation, bit-identical to the module engine unless
-numeric-changing fusions are explicitly enabled (:func:`fuse_plan`).
+same-layer fault evaluation, bit-identical to the module engine.
 """
 
 from repro.runtime.engine import (
@@ -14,13 +13,11 @@ from repro.runtime.engine import (
     create_engine,
 )
 from repro.runtime.plan import (
-    FUSED_OP_KINDS,
     OP_KINDS,
     ExecutionPlan,
     OpSpec,
     PlanBuilder,
     capture_plan,
-    fuse_plan,
 )
 from repro.runtime.vectorized import (
     DEFAULT_OP_BUDGET,
@@ -33,7 +30,6 @@ __all__ = [
     "DEFAULT_OP_BUDGET",
     "DEFAULT_VEC_BATCH_SIZE",
     "ExecutionPlan",
-    "FUSED_OP_KINDS",
     "OP_KINDS",
     "OpSpec",
     "PlanBuilder",
@@ -41,5 +37,4 @@ __all__ = [
     "VectorizedPlanEngine",
     "capture_plan",
     "create_engine",
-    "fuse_plan",
 ]

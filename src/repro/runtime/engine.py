@@ -2,7 +2,7 @@
 
 :class:`PlanEngine` classifies weight faults exactly like
 :class:`repro.faults.InferenceEngine` — same injector, same policies,
-bit-identical outcomes when unfused — but executes a captured
+bit-identical outcomes — but executes a captured
 :class:`~repro.runtime.ExecutionPlan` instead of walking the module tree:
 
 - **Op-granular prefix caching.**  The golden pass keeps every op's
@@ -96,11 +96,6 @@ class PlanEngine(FaultInjectionEngine):
 
     Parameters mirror :class:`repro.faults.InferenceEngine`, plus:
 
-    fuse:
-        Apply :func:`~repro.runtime.fuse_plan` (BN-folding + im2col
-        workspace reuse).  **Numeric-changing** — outcomes may differ
-        from the unfused/module engines, and the fingerprint changes so
-        checkpoints and distributed merges refuse to mix them.
     batch_size:
         Same-layer faults evaluated per stacked tail pass (>= 1).
     backend:
@@ -123,7 +118,6 @@ class PlanEngine(FaultInjectionEngine):
         policy: str = "accuracy_drop",
         threshold: float = 0.0,
         telemetry: Telemetry | None = None,
-        fuse: bool = False,
         batch_size: int = DEFAULT_BATCH_SIZE,
         backend: Backend | str | None = None,
     ) -> None:
@@ -139,8 +133,7 @@ class PlanEngine(FaultInjectionEngine):
             telemetry=telemetry,
         )
         self.backend = resolve_backend(backend)
-        self.plan = capture_plan(model, fuse=fuse, backend=self.backend)
-        self.fusions = self.plan.fusions
+        self.plan = capture_plan(model, backend=self.backend)
         # Re-verify at the engine trust boundary (capture already did,
         # but the engine is also handed pre-built plans in tests) and
         # pin the verified structure's fingerprint — distributed shard
@@ -155,10 +148,6 @@ class PlanEngine(FaultInjectionEngine):
         else:
             self.plan_fingerprint = check_plan(self.plan)
         self.batch_size = int(batch_size)
-        # im2col workspaces are an allocation-level optimisation only the
-        # fused engine opts into; unfused plans allocate exactly like
-        # forward_fast so the replay is a faithful reproduction.
-        self._workspaces: dict | None = {} if self.plan.fusions else None
         instrument = None
         if self.telemetry.enabled:
             def instrument(op):
@@ -191,8 +180,7 @@ class PlanEngine(FaultInjectionEngine):
     def _map_layers_to_ops(self) -> list[int]:
         """Plan-op index owning each weight layer, in layer order.
 
-        Keyed by module identity; a fused ``conv2d_bn`` op keeps the conv
-        as its module, so the mapping survives fusion unchanged.
+        Keyed by module identity.
         """
         op_of_module = {}
         for op in self.plan.ops:
@@ -268,8 +256,8 @@ class PlanEngine(FaultInjectionEngine):
         """Static channel-sparse plan for faults in op *op_index*.
 
         ``None`` when the fault op itself is not row-separable (grouped
-        or depthwise convs, fused conv+bn) — those fall back to dense
-        full-recompute evaluation.  The whole analysis is stated against
+        or depthwise convs) — those fall back to dense full-recompute
+        evaluation.  The whole analysis is stated against
         the reference backend's row-GEMM identities (and the hand-inlined
         numpy suffix kernels in :meth:`_sparse_batch`), so non-reference
         backends always take the dense path.
@@ -548,17 +536,13 @@ class PlanEngine(FaultInjectionEngine):
         tail: tuple[int, ...],
         faults: Sequence[Fault],
     ) -> np.ndarray:
-        """Full-recompute fault op (grouped/depthwise/fused) + dense tail."""
+        """Full-recompute fault op (grouped/depthwise) + dense tail."""
         k = len(faults)
         golden_inputs = [self._golden[s] for s in op.inputs]
         variants = []
         for fault in faults:
             with self.injector.inject(fault):
-                variants.append(
-                    self.plan.run_op(
-                        op, golden_inputs, workspaces=self._workspaces
-                    )
-                )
+                variants.append(self.plan.run_op(op, golden_inputs))
         return self._stacked_tails(
             op_index,
             tail,
@@ -591,9 +575,7 @@ class PlanEngine(FaultInjectionEngine):
                     env[s] if s in env else self._golden[s]
                     for s in top.inputs
                 ]
-                env[top.output] = self.plan.run_op(
-                    top, inputs, workspaces=self._workspaces
-                )
+                env[top.output] = self.plan.run_op(top, inputs)
                 del inputs
                 for slot in free_after[pos]:
                     env.pop(slot, None)
@@ -613,11 +595,7 @@ class PlanEngine(FaultInjectionEngine):
                         else self._golden[s]
                         for s in top.inputs
                     ]
-                    chunks.append(
-                        self.plan.run_op(
-                            top, inputs, workspaces=self._workspaces
-                        )
-                    )
+                    chunks.append(self.plan.run_op(top, inputs))
                 env[top.output] = np.concatenate(chunks, axis=0)
             elif top.kind == "add" and any(
                 s not in env for s in top.inputs
@@ -642,9 +620,7 @@ class PlanEngine(FaultInjectionEngine):
                 env[top.output] = out.reshape(k * n, *out.shape[2:])
             else:
                 inputs = [env[s] for s in top.inputs]
-                env[top.output] = self.plan.run_op(
-                    top, inputs, workspaces=self._workspaces
-                )
+                env[top.output] = self.plan.run_op(top, inputs)
                 del inputs
             for slot in free_after[pos]:
                 env.pop(slot, None)
@@ -662,7 +638,6 @@ def create_engine(
     policy: str = "accuracy_drop",
     threshold: float = 0.0,
     telemetry: Telemetry | None = None,
-    fuse: bool = False,
     batch_size: int | None = None,
     backend: Backend | str | None = None,
 ) -> FaultInjectionEngine:
@@ -672,20 +647,14 @@ def create_engine(
     :class:`PlanEngine`; ``kind="plan_vectorized"`` the certified
     variant-axis :class:`~repro.runtime.vectorized.VectorizedPlanEngine`;
     ``kind="module"`` the stage-granular reference
-    :class:`repro.faults.InferenceEngine`.  Unfused plan, vectorized and
-    module engines produce bit-identical outcomes; *fuse* requires the
-    plain plan engine (vectorized certificates are stated against exact
-    numerics).  *backend* selects the kernel backend (explicit argument
-    → ``REPRO_BACKEND`` → numpy reference); only the plan engine accepts
-    non-reference backends — the module engine *is* the reference
-    numerics and the vectorized certificates are proved against them.
+    :class:`repro.faults.InferenceEngine`.  Plan, vectorized and module
+    engines produce bit-identical outcomes.  *backend* selects the
+    kernel backend (explicit argument → ``REPRO_BACKEND`` → numpy
+    reference); only the plan engine accepts non-reference backends —
+    the module engine *is* the reference numerics and the vectorized
+    certificates are proved against them.
     """
     if kind == "plan_vectorized":
-        if fuse:
-            raise ValueError(
-                "the vectorized engine certifies against exact numerics; "
-                "fusion changes them (use kind='plan' for fused runs)"
-            )
         from repro.runtime.vectorized import (
             DEFAULT_VEC_BATCH_SIZE,
             VectorizedPlanEngine,
@@ -713,16 +682,10 @@ def create_engine(
             policy=policy,
             threshold=threshold,
             telemetry=telemetry,
-            fuse=fuse,
             batch_size=DEFAULT_BATCH_SIZE if batch_size is None else batch_size,
             backend=backend,
         )
     if kind == "module":
-        if fuse:
-            raise ValueError(
-                "fusion is a plan-engine feature; the module engine "
-                "replays forward_fast verbatim (use kind='plan')"
-            )
         if batch_size not in (None, 1):
             raise ValueError("the module engine evaluates faults one at a time")
         if not resolve_backend(backend).is_reference:

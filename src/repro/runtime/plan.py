@@ -12,13 +12,10 @@ engine can
 - evaluate K same-layer faults per tail pass by stacking the K faulty
   activation sets along the batch axis.
 
-The contract that makes this safe is **bit-exactness**: an unfused plan
-replays the *same* numpy calls, with the same arguments and operand
-order, as ``forward_fast`` — so plan-engine outcome tables are
-bit-identical to the module engine's.  Numeric-changing rewrites
-(BN-folding, workspace reuse) live behind :func:`fuse_plan` and are
-opt-in; a fused engine carries a different fingerprint so distributed
-merges refuse to mix the two.
+The contract that makes this safe is **bit-exactness**: a plan replays
+the *same* numpy calls, with the same arguments and operand order, as
+``forward_fast`` — so plan-engine outcome tables are bit-identical to
+the module engine's.
 
 Batch invariance
 ----------------
@@ -43,7 +40,7 @@ import numpy as np
 from repro.backends import Backend, get_backend, resolve_backend
 from repro.nn.module import Module
 
-#: Op kinds an unfused capture may emit.
+#: Op kinds a capture may emit.
 OP_KINDS = frozenset(
     {
         "conv2d",
@@ -60,9 +57,6 @@ OP_KINDS = frozenset(
     }
 )
 
-#: Op kinds introduced by :func:`fuse_plan` (numeric-changing).
-FUSED_OP_KINDS = frozenset({"conv2d_bn"})
-
 
 def _batch_invariant(kind: str, module) -> bool:
     """Reference-backend batch invariance for *kind*, from the kernel table.
@@ -72,8 +66,7 @@ def _batch_invariant(kind: str, module) -> bool:
     stacking (pointwise/im2col matmul convs are; depthwise/grouped
     einsum and the 2-D linear GEMM are not).  Capture consults it here;
     the verifier's P120 then re-checks the recorded flags against the
-    same table, catching post-capture drift in fused or hand-built
-    plans.
+    same table, catching post-capture drift in hand-built plans.
     """
     # Lazy import: repro.check.plan reasons *about* this module.
     from repro.check.kernels import KERNEL_TABLE
@@ -162,8 +155,7 @@ class ExecutionPlan:
     """A captured forward pass: ops in execution order over buffer slots.
 
     Slot 0 is the network input; every op writes a fresh slot, so the
-    plan is SSA-like and trivially forward-only.  ``fusions`` names the
-    numeric-changing rewrites applied (empty for bit-exact plans).
+    plan is SSA-like and trivially forward-only.
 
     Kernels live on ``backend`` (see :mod:`repro.backends`): the plan
     records *what* to compute, the backend supplies *how*.  A bare plan
@@ -179,23 +171,21 @@ class ExecutionPlan:
         num_slots: int,
         output_slot: int,
         input_slot: int = 0,
-        fusions: tuple[str, ...] = (),
         backend: Backend | None = None,
     ) -> None:
         self.ops = list(ops)
         self.num_slots = num_slots
         self.input_slot = input_slot
         self.output_slot = output_slot
-        self.fusions = tuple(fusions)
         self.backend = backend if backend is not None else get_backend("numpy")
         self._affected: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.ops)
 
-    def run_op(self, op: OpSpec, inputs: list[np.ndarray], *, workspaces=None):
+    def run_op(self, op: OpSpec, inputs: list[np.ndarray]):
         """Execute one op on concrete input arrays."""
-        return self.backend.run_op(op, inputs, workspaces=workspaces)
+        return self.backend.run_op(op, inputs)
 
     def execute(self, x: np.ndarray) -> np.ndarray:
         """Full forward pass; returns the output-slot array."""
@@ -220,7 +210,7 @@ class ExecutionPlan:
         return buffers
 
     def consumers(self, slot: int) -> list[OpSpec]:
-        """Ops reading *slot* (multi-consumer slots pin fusion decisions)."""
+        """Ops reading *slot*."""
         return [op for op in self.ops if slot in op.inputs]
 
     def affected_ops(self, op_index: int) -> tuple[int, ...]:
@@ -247,17 +237,15 @@ class ExecutionPlan:
 def capture_plan(
     model: Module,
     *,
-    fuse: bool = False,
     backend: Backend | str | None = None,
 ) -> ExecutionPlan:
     """Lower *model*'s forward pass into an :class:`ExecutionPlan`.
 
     The model must implement :meth:`~repro.nn.Module.capture` (all zoo
-    models do).  With ``fuse=True`` the captured plan additionally goes
-    through :func:`fuse_plan` — numeric-changing, see its docstring.
-    *backend* (name, instance, or None → ``REPRO_BACKEND`` → numpy)
-    selects the kernel backend the plan executes on; non-reference
-    backends qualify the plan fingerprint with their attestation.
+    models do).  *backend* (name, instance, or None → ``REPRO_BACKEND``
+    → numpy) selects the kernel backend the plan executes on;
+    non-reference backends qualify the plan fingerprint with their
+    attestation.
 
     Every captured plan is statically verified (O(ops²), milliseconds)
     before it crosses this trust boundary; a plan that fails raises
@@ -273,68 +261,4 @@ def capture_plan(
     from repro.check import check_plan
 
     check_plan(plan)
-    if fuse:
-        plan = fuse_plan(plan)
     return plan
-
-
-def fuse_plan(plan: ExecutionPlan) -> ExecutionPlan:
-    """Fold every single-consumer conv→bn pair into one ``conv2d_bn`` op.
-
-    The folded op computes with BN-scaled weights, which is *not*
-    bitwise identical to conv-then-bn (one fewer rounding step); fused
-    plans therefore change the engine fingerprint and must never be
-    mixed with unfused results.  Fused plans also reuse preallocated
-    im2col workspaces (values identical; allocation behaviour not).
-    """
-    if plan.fusions:
-        return plan
-    drop: set[int] = set()
-    replace: dict[int, OpSpec] = {}
-    for op in plan.ops:
-        if op.kind != "conv2d" or op.output == plan.output_slot:
-            continue
-        consumers = plan.consumers(op.output)
-        if len(consumers) != 1 or consumers[0].kind != "batchnorm2d":
-            continue
-        bn = consumers[0]
-        replace[op.index] = OpSpec(
-            index=op.index,
-            kind="conv2d_bn",
-            inputs=op.inputs,
-            output=bn.output,
-            module=op.module,
-            params={**op.params, "bn": bn.module},
-            batch_invariant=op.batch_invariant,
-        )
-        drop.add(bn.index)
-    ops = []
-    for op in plan.ops:
-        if op.index in drop:
-            continue
-        op = replace.get(op.index, op)
-        ops.append(
-            OpSpec(
-                index=len(ops),
-                kind=op.kind,
-                inputs=op.inputs,
-                output=op.output,
-                module=op.module,
-                params=op.params,
-                batch_invariant=op.batch_invariant,
-            )
-        )
-    fused = ExecutionPlan(
-        ops,
-        num_slots=plan.num_slots,
-        output_slot=plan.output_slot,
-        input_slot=plan.input_slot,
-        fusions=("bn_fold", "im2col_workspace"),
-        backend=plan.backend,
-    )
-    # The rewrite changed dataflow (dropped bn ops, rewired slots):
-    # re-verify rather than trusting the transformation.
-    from repro.check import check_plan
-
-    check_plan(fused)
-    return fused

@@ -122,14 +122,13 @@ DEFAULT_VEC_BATCH_SIZE = 256
 class VectorizedPlanEngine(PlanEngine):
     """Certified variant-axis vectorized execution over a captured plan.
 
-    Parameters mirror :class:`PlanEngine` (always unfused — the
-    certificates are stated against exact numerics), plus:
+    Parameters mirror :class:`PlanEngine`, plus:
 
     op_budget:
         Per-op byte budget for the stacked suffix workspace (see
         :data:`DEFAULT_OP_BUDGET`).
 
-    Outcomes are bit-identical to the unfused plan and module engines;
+    Outcomes are bit-identical to the plan and module engines;
     the engine runs under distinct plan/engine fingerprints that
     :func:`repro.check.check_plan_vectorized` declares compatible with
     its exact twins.
@@ -168,7 +167,6 @@ class VectorizedPlanEngine(PlanEngine):
             policy=policy,
             threshold=threshold,
             telemetry=telemetry,
-            fuse=False,
             batch_size=batch_size,
             backend=resolved,
         )
@@ -586,9 +584,7 @@ class VectorizedPlanEngine(PlanEngine):
         imgs, vars_, parts = [], [], []
         for v, fault, alive in survivors:
             with self.injector.inject(fault):
-                out = self.plan.run_op(
-                    op, golden_inputs, workspaces=self._workspaces
-                )
+                out = self.plan.run_op(op, golden_inputs)
             bmax, bmean = F.channel_abs_stats(out - golden_out)
             bound = np.minimum(bmax @ gcol_max.T, bmean @ gcol_mean.T)
             keep = alive & ~self._certified(bound, None)
@@ -699,14 +695,10 @@ class VectorizedPlanEngine(PlanEngine):
                 row_bytes *= 1 + kh * kw
         block = max(1, self.op_budget // max(row_bytes, 1))
         if m <= block:
-            return self.plan.run_op(t, inputs, workspaces=self._workspaces)
+            return self.plan.run_op(t, inputs)
         self.vec_blocks += -(-m // block)
         parts = [
-            self.plan.run_op(
-                t,
-                [a[lo : lo + block] for a in inputs],
-                workspaces=self._workspaces,
-            )
+            self.plan.run_op(t, [a[lo : lo + block] for a in inputs])
             for lo in range(0, m, block)
         ]
         return np.concatenate(parts, axis=0)
@@ -739,6 +731,6 @@ class VectorizedPlanEngine(PlanEngine):
                 else:
                     full = self._golden[s]
                 inputs.append(full)
-            out = self.plan.run_op(t, inputs, workspaces=self._workspaces)
+            out = self.plan.run_op(t, inputs)
             outs.append(out[idx])
         return np.concatenate(outs, axis=0)

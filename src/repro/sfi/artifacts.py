@@ -10,7 +10,6 @@ benchmark and example replays from the cache.
 from __future__ import annotations
 
 import shutil
-import warnings
 from pathlib import Path
 
 from repro.data import SynthCIFAR
@@ -25,20 +24,16 @@ def exhaustive_table_path(
     *,
     eval_size: int = 64,
     policy: str = "accuracy_drop",
-    fuse: bool = False,
     backend: str | None = None,
 ) -> Path:
     """Cache location for one exhaustive configuration.
 
-    Unfused plan and module engines share a cache entry (their outcomes
-    are bit-identical); fused campaigns are numerically different and
-    cache under a ``_fused`` suffix.  *backend* names a non-reference
-    kernel backend, whose outcomes likewise never share the reference
-    cache (``_via_<backend>`` suffix); pass ``None`` for the reference.
+    Plan and module engines share a cache entry (their outcomes are
+    bit-identical).  *backend* names a non-reference kernel backend,
+    whose outcomes never share the reference cache (``_via_<backend>``
+    suffix); pass ``None`` for the reference.
     """
-    suffix = "_fused" if fuse else ""
-    if backend is not None:
-        suffix += f"_via_{backend}"
+    suffix = "" if backend is None else f"_via_{backend}"
     return (
         artifacts_dir()
         / "exhaustive"
@@ -51,16 +46,11 @@ def exhaustive_checkpoint_path(
     *,
     eval_size: int = 64,
     policy: str = "accuracy_drop",
-    fuse: bool = False,
     backend: str | None = None,
 ) -> Path:
     """Checkpoint directory for one exhaustive configuration."""
     path = exhaustive_table_path(
-        model_name,
-        eval_size=eval_size,
-        policy=policy,
-        fuse=fuse,
-        backend=backend,
+        model_name, eval_size=eval_size, policy=policy, backend=backend
     )
     return path.with_suffix(".ckpt")
 
@@ -81,14 +71,12 @@ def load_or_run_exhaustive(
     eval_size: int = 64,
     policy: str = "accuracy_drop",
     engine_kind: str = "plan",
-    fuse: bool = False,
     backend: str | None = None,
     batch_size: int | None = None,
     workers: int | None = 1,
     shards: int | None = None,
     resume: bool = True,
     telemetry: Telemetry | None = None,
-    progress: bool = False,
 ) -> tuple[OutcomeTable, FaultSpace, FaultInjectionEngine]:
     """Return the exhaustive table for a pretrained mini model.
 
@@ -101,11 +89,9 @@ def load_or_run_exhaustive(
     replay from the table or re-inject through the engine.
 
     *engine_kind* selects ``"plan"`` (default) or ``"module"``
-    (reference) execution; unfused plan outcomes are bit-identical to
-    module outcomes, so both kinds share the cache.  *fuse* opts into
-    the plan engine's numeric-changing fusions and caches under a
-    separate ``_fused`` artifact; *batch_size* tunes how many same-layer
-    faults share one tail pass (plan engine only).  *backend* selects
+    (reference) execution; plan outcomes are bit-identical to module
+    outcomes, so both kinds share the cache.  *batch_size* tunes how
+    many same-layer faults share one tail pass (plan engine only).  *backend* selects
     the kernel backend (default: ``REPRO_BACKEND`` or the numpy
     reference); non-reference backends are numerically distinct and
     cache under their own ``_via_<backend>`` artifact.
@@ -118,18 +104,7 @@ def load_or_run_exhaustive(
 
     *telemetry* journals the campaign (or an ``artifact_cache_hit``
     event when the table is served from the cache).
-
-    .. deprecated::
-        *progress* — pass *telemetry* and read its ``progress`` events;
-        the flag is kept as a shim and still prints the same lines.
     """
-    if progress:
-        warnings.warn(
-            "load_or_run_exhaustive(progress=True) is deprecated; pass "
-            "telemetry=Telemetry(...) and read its progress events",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     # Late import: repro.runtime is only needed to build live engines.
     from repro.runtime import create_engine
 
@@ -142,7 +117,6 @@ def load_or_run_exhaustive(
         data.labels,
         kind=engine_kind,
         policy=policy,
-        fuse=fuse,
         backend=backend,
         batch_size=batch_size,
         telemetry=telemetry,
@@ -155,11 +129,7 @@ def load_or_run_exhaustive(
         else None
     )
     path = exhaustive_table_path(
-        model_name,
-        eval_size=eval_size,
-        policy=policy,
-        fuse=fuse,
-        backend=backend_name,
+        model_name, eval_size=eval_size, policy=policy, backend=backend_name
     )
     if path.is_file():
         with tele.span("artifacts.load_exhaustive", emit=True, model=model_name):
@@ -196,7 +166,6 @@ def load_or_run_exhaustive(
                 "eval_size": eval_size,
                 "policy": policy,
                 "engine": engine.kind,
-                "fuse": bool(fuse),
                 **(
                     {"backend": backend_name}
                     if backend_name is not None
@@ -208,33 +177,20 @@ def load_or_run_exhaustive(
         table.save(path)
         shutil.rmtree(path.with_suffix(".queue"), ignore_errors=True)
         return table, space, engine
-    reporter = None
-    if progress:
-        def reporter(done: int, total: int) -> None:
-            print(f"  exhaustive {model_name}: {done:,}/{total:,}", flush=True)
     checkpoint = (
         exhaustive_checkpoint_path(
-            model_name,
-            eval_size=eval_size,
-            policy=policy,
-            fuse=fuse,
-            backend=backend_name,
+            model_name, eval_size=eval_size, policy=policy, backend=backend_name
         )
         if resume
         else None
     )
-    with warnings.catch_warnings():
-        # The deprecated *progress* shim above is the one caller allowed
-        # to keep using the deprecated callback parameter silently.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        table = OutcomeTable.from_exhaustive(
-            engine,
-            space,
-            workers=workers,
-            checkpoint=checkpoint,
-            telemetry=telemetry,
-            progress=reporter,
-        )
+    table = OutcomeTable.from_exhaustive(
+        engine,
+        space,
+        workers=workers,
+        checkpoint=checkpoint,
+        telemetry=telemetry,
+    )
     table.metadata["model"] = model_name
     table.save(path)
     if checkpoint is not None and checkpoint.exists():

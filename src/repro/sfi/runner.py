@@ -248,11 +248,9 @@ def run_exhaustive(
     policy: str = "accuracy_drop",
     threshold: float = 0.0,
     engine_kind: str = "plan",
-    fuse: bool = False,
     workers: int | None = 1,
     checkpoint: str | os.PathLike | None = None,
     telemetry: Telemetry | None = None,
-    progress: Callable[[int, int], None] | None = None,
 ) -> tuple[OutcomeTable, FaultSpace, FaultInjectionEngine]:
     """Run the full exhaustive campaign for *model* over the eval set.
 
@@ -260,14 +258,11 @@ def run_exhaustive(
     ground truth (every possible fault classified).  *engine_kind* picks
     the execution path: ``"plan"`` (default, op-granular caching and
     batched fault evaluation — bit-identical outcomes) or ``"module"``
-    (the stage-granular reference engine).  *fuse* enables the plan
-    engine's numeric-changing fusions — the resulting table is **not**
-    comparable to unfused ones and is checkpointed separately.
-    ``workers > 1`` fans the campaign's (layer, bit) cells out over a
-    process pool; with *checkpoint* (a directory path) set, a killed
-    campaign resumes from its last persisted cell.  *telemetry* journals
-    the whole campaign (see :meth:`OutcomeTable.from_exhaustive`);
-    *progress* is the deprecated callback shim.
+    (the stage-granular reference engine).  ``workers > 1`` fans the
+    campaign's (layer, bit) cells out over a process pool; with
+    *checkpoint* (a directory path) set, a killed campaign resumes from
+    its last persisted cell.  *telemetry* journals the whole campaign
+    (see :meth:`OutcomeTable.from_exhaustive`).
     """
     from repro.runtime import create_engine
 
@@ -279,7 +274,6 @@ def run_exhaustive(
         fmt=fmt,
         policy=policy,
         threshold=threshold,
-        fuse=fuse,
         telemetry=telemetry,
     )
     space = FaultSpace(engine.layers, fmt=fmt, fault_models=fault_models)
@@ -289,6 +283,5 @@ def run_exhaustive(
         workers=workers,
         checkpoint=checkpoint,
         telemetry=telemetry,
-        progress=progress,
     )
     return table, space, engine

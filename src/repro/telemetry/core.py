@@ -124,10 +124,7 @@ def resolve_telemetry(telemetry: Telemetry | None) -> Telemetry:
 
 
 def progress_printer(prefix: str = "  progress"):
-    """An ``on_event`` hook printing ``progress`` events as they arrive.
-
-    The telemetry-backed replacement for the deprecated
-    ``progress=callback`` plumbing::
+    """An ``on_event`` hook printing ``progress`` events as they arrive::
 
         telemetry = Telemetry(on_event=progress_printer("  exhaustive"))
     """

@@ -47,16 +47,11 @@ def im2col(
     kw: int,
     stride: int,
     padding: int,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Lower ``x`` of shape (N, C, H, W) to columns.
 
     Returns an array of shape ``(N, C * kh * kw, out_h * out_w)`` where each
-    column is the flattened receptive field of one output position.  *out*,
-    when given, must be a contiguous float32 array of exactly that shape;
-    the columns are written into it instead of a fresh allocation (the
-    values are identical — this only changes allocation behaviour, and is
-    used by fused execution plans to reuse one workspace per op).
+    column is the flattened receptive field of one output position.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kh, stride, padding)
@@ -67,14 +62,6 @@ def im2col(
     windows = windows[:, :, ::stride, ::stride, :, :]
     # -> (N, C, kh, kw, out_h, out_w) -> (N, C*kh*kw, out_h*out_w)
     view = windows.transpose(0, 1, 4, 5, 2, 3)
-    if out is not None:
-        expected = (n, c * kh * kw, out_h * out_w)
-        if out.shape != expected:
-            raise ValueError(
-                f"im2col workspace shape {out.shape} != required {expected}"
-            )
-        out.reshape(n, c, kh, kw, out_h, out_w)[...] = view
-        return out
     cols = view.reshape(n, c * kh * kw, out_h * out_w)
     return np.ascontiguousarray(cols)
 

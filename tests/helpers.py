@@ -1,10 +1,25 @@
-"""Test helpers: numeric gradient checking."""
+"""Test helpers: numeric gradient checking and campaign progress hooks."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.telemetry import Telemetry
 from repro.tensor import Tensor
+
+
+def progress_telemetry(callback) -> Telemetry:
+    """Telemetry calling ``callback(done, total)`` on each ``progress`` event.
+
+    The hook runs inside the emitting ``emit`` call, so an exception it
+    raises (e.g. a simulated kill) propagates out of the campaign.
+    """
+
+    def on_event(event) -> None:
+        if event.type == "progress":
+            callback(event.fields["done"], event.fields["total"])
+
+    return Telemetry(on_event=on_event)
 
 
 def numeric_gradient(fn, value: np.ndarray, epsilon: float = 1e-3) -> np.ndarray:

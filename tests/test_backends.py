@@ -177,12 +177,6 @@ class TestPlanBackendWiring:
         plan = capture_plan(tiny_model, backend="numpy")
         assert plan.backend is get_backend("numpy")
 
-    def test_fused_plan_inherits_backend(self, tiny_model):
-        from repro.runtime.plan import fuse_plan
-
-        plan = capture_plan(tiny_model, backend="numpy")
-        assert fuse_plan(plan).backend is plan.backend
-
     def test_fingerprint_unqualified_on_reference(self, tiny_model):
         from repro.check import plan_fingerprint
 
@@ -228,7 +222,7 @@ class TestArrayApiParity:
         assert not any(
             stackable
             for op, stackable in zip(engine.plan.ops, engine._stackable)
-            if op.kind in ("conv2d", "conv2d_bn", "linear")
+            if op.kind in ("conv2d", "linear")
         )
 
 

@@ -24,7 +24,6 @@ from repro.check import (
 )
 from repro.models import MODELS, create_model
 from repro.runtime.plan import (
-    FUSED_OP_KINDS,
     OP_KINDS,
     PlanBuilder,
     capture_plan,
@@ -35,17 +34,16 @@ MINI_MODELS = ["resnet8_mini", "resnet14_mini", "mobilenetv2_mini", "vgg_mini"]
 _PLAN_CACHE: dict = {}
 
 
-def plan_for(name: str, fuse: bool):
+def plan_for(name: str):
     """Shared read-only plan (capture is deterministic per arch)."""
-    key = (name, fuse)
-    if key not in _PLAN_CACHE:
-        _PLAN_CACHE[key] = capture_plan(create_model(name), fuse=fuse)
-    return _PLAN_CACHE[key]
+    if name not in _PLAN_CACHE:
+        _PLAN_CACHE[name] = capture_plan(create_model(name))
+    return _PLAN_CACHE[name]
 
 
-def fresh_plan(name: str = "resnet8_mini", fuse: bool = False):
+def fresh_plan(name: str = "resnet8_mini"):
     """A private plan instance the test may mutate."""
-    return capture_plan(create_model(name), fuse=fuse)
+    return capture_plan(create_model(name))
 
 
 def error_rules(diagnostics) -> set[str]:
@@ -54,18 +52,17 @@ def error_rules(diagnostics) -> set[str]:
 
 class TestCleanPlans:
     @pytest.mark.parametrize("name", MINI_MODELS)
-    @pytest.mark.parametrize("fuse", [False, True])
-    def test_mini_models_verify_with_zero_diagnostics(self, name, fuse):
-        assert verify_plan(plan_for(name, fuse)) == []
+    def test_mini_models_verify_with_zero_diagnostics(self, name):
+        assert verify_plan(plan_for(name)) == []
 
     @settings(max_examples=20, deadline=None)
-    @given(name=st.sampled_from(sorted(MODELS)), fuse=st.booleans())
-    def test_every_registered_model_plan_is_clean(self, name, fuse):
-        diagnostics = verify_plan(plan_for(name, fuse))
+    @given(name=st.sampled_from(sorted(MODELS)))
+    def test_every_registered_model_plan_is_clean(self, name):
+        diagnostics = verify_plan(plan_for(name))
         assert error_rules(diagnostics) == set()
 
     def test_kernel_table_covers_every_capturable_kind(self):
-        assert set(KERNEL_TABLE) == set(OP_KINDS | FUSED_OP_KINDS)
+        assert set(KERNEL_TABLE) == set(OP_KINDS)
 
     def test_builder_rejects_unknown_kind_at_emit(self):
         builder = PlanBuilder()
@@ -104,12 +101,6 @@ class TestMutationRejection:
         plan.ops[0].kind = "gelu"
         assert "P101" in error_rules(verify_plan(plan))
 
-    def test_fused_kind_in_unfused_plan_P101(self):
-        plan = fresh_plan()
-        assert plan.fusions == ()
-        plan.ops[0].kind = "conv2d_bn"
-        assert "P101" in error_rules(verify_plan(plan))
-
     def test_broken_shape_chain_P104(self):
         plan = fresh_plan()
         add = next(op for op in plan.ops if op.kind == "add")
@@ -146,15 +137,31 @@ class TestFingerprint:
     def test_same_architecture_same_fingerprint(self):
         assert plan_fingerprint(fresh_plan()) == plan_fingerprint(fresh_plan())
 
-    def test_fused_and_unfused_fingerprints_differ(self):
-        unfused = plan_fingerprint(plan_for("resnet8_mini", False))
-        fused = plan_fingerprint(plan_for("resnet8_mini", True))
-        assert unfused != fused
-
     def test_different_architectures_differ(self):
-        assert plan_fingerprint(plan_for("resnet8_mini", False)) != (
-            plan_fingerprint(plan_for("vgg_mini", False))
+        assert plan_fingerprint(plan_for("resnet8_mini")) != (
+            plan_fingerprint(plan_for("vgg_mini"))
         )
+
+    @pytest.mark.parametrize(
+        ("name", "expected"),
+        [
+            (
+                "resnet14_mini",
+                "00480cf705add2996224c7a3c841be4e"
+                "96b1503f24e9b6b26fc13cda7d571728",
+            ),
+            (
+                "mobilenetv2_mini",
+                "d06d75d65e52bca90c3542cf4ac6149d"
+                "0e9a42c36f82c995c504eeb52b90389d",
+            ),
+        ],
+    )
+    def test_plan_fingerprints_are_pinned(self, name, expected):
+        """Checkpoints and dist queues store these structural hashes
+        (independent of weights and host); an edit that changes them
+        silently invalidates every recorded campaign."""
+        assert plan_fingerprint(plan_for(name)) == expected
 
     def test_check_plan_registers_the_fingerprint(self):
         plan = fresh_plan()
@@ -175,7 +182,7 @@ class TestEngineWiring:
         assert is_plan_verified(engine.plan_fingerprint)
 
     def test_largest_plan_verifies_fast(self):
-        plan = plan_for("mobilenetv2", False)  # 154 ops, the biggest
+        plan = plan_for("mobilenetv2")  # 154 ops, the biggest
         start = time.perf_counter()
         diagnostics = verify_plan(plan)
         seconds = time.perf_counter() - start

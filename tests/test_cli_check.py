@@ -14,7 +14,7 @@ class TestPlanCommand:
         assert main(["plan", "--model", "resnet8_mini"]) == 0
         out = capsys.readouterr().out
         assert "ok" in out
-        assert "fused=True" in out and "fused=False" in out
+        assert "resnet8_mini" in out
 
     def test_no_models_is_usage_error(self, capsys):
         assert main(["plan"]) == 2
@@ -27,8 +27,6 @@ class TestPlanCommand:
                 "plan",
                 "--model",
                 "resnet8_mini",
-                "--fuse",
-                "unfused",
                 "--timings-out",
                 str(target),
             ]

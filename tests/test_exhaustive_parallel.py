@@ -19,6 +19,7 @@ from repro.data import SynthCIFAR
 from repro.faults import FaultSpace, InferenceEngine, OutcomeTable
 from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR
+from tests.helpers import progress_telemetry
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,9 @@ class TestParallelExhaustive:
             engine,
             space,
             workers=2,
-            progress=lambda done, total: calls.append((done, total)),
+            telemetry=progress_telemetry(
+                lambda done, total: calls.append((done, total))
+            ),
             progress_every=1,
         )
         assert calls, "progress callback never fired"
@@ -111,7 +114,7 @@ class TestCheckpointResume:
                 engine,
                 space,
                 checkpoint=checkpoint,
-                progress=_KillAfter(3),
+                telemetry=progress_telemetry(_KillAfter(3)),
                 progress_every=1,
             )
         persisted = {p.stem for p in checkpoint.glob("*.npy")}
@@ -124,7 +127,9 @@ class TestCheckpointResume:
             engine,
             space,
             checkpoint=checkpoint,
-            progress=lambda done, total: calls.append(done),
+            telemetry=progress_telemetry(
+                lambda done, total: calls.append(done)
+            ),
             progress_every=1,
         )
         assert_tables_identical(serial_table, resumed)
@@ -152,7 +157,7 @@ class TestCheckpointResume:
                 engine,
                 space,
                 checkpoint=checkpoint,
-                progress=_KillAfter(2),
+                telemetry=progress_telemetry(_KillAfter(2)),
                 progress_every=1,
             )
         # Same checkpoint path, different policy: chunks must not be reused.

@@ -15,6 +15,7 @@ from repro.faults import (
     TableOracle,
 )
 from repro.models import ResNetCIFAR
+from tests.helpers import progress_telemetry
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +114,9 @@ class TestOutcomeTable:
         table = OutcomeTable.from_exhaustive(
             _RetargetedEngine(engine_small, len(engine_small.layers) - 1),
             space,
-            progress=lambda done, total: progress_calls.append((done, total)),
+            telemetry=progress_telemetry(
+                lambda done, total: progress_calls.append((done, total))
+            ),
             progress_every=500,
         )
         assert table.num_layers == 1

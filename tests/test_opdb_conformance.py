@@ -24,19 +24,19 @@ from repro.backends import (
 )
 from repro.check import KERNEL_TABLE, run_op_conformance
 from repro.check.opdb import OP_SAMPLES, opdb_kinds, samples_for
-from repro.runtime.plan import FUSED_OP_KINDS, OP_KINDS
+from repro.runtime.plan import OP_KINDS
 
 
 class TestRegistryCompleteness:
     def test_every_plan_kind_has_a_kernel_table_row(self):
-        assert OP_KINDS | FUSED_OP_KINDS <= set(KERNEL_TABLE)
+        assert OP_KINDS <= set(KERNEL_TABLE)
 
     def test_every_plan_kind_has_a_backend_dispatch_entry(self):
         backend = get_backend("numpy")
-        assert OP_KINDS | FUSED_OP_KINDS <= backend.op_kinds()
+        assert OP_KINDS <= backend.op_kinds()
 
     def test_every_plan_kind_has_an_opdb_sample(self):
-        assert OP_KINDS | FUSED_OP_KINDS <= opdb_kinds()
+        assert OP_KINDS <= opdb_kinds()
 
     def test_primitives_have_opdb_samples(self):
         assert set(BACKEND_PRIMITIVES) <= opdb_kinds()
@@ -48,7 +48,7 @@ class TestRegistryCompleteness:
     def test_backend_surface_matches_plan_kinds(self):
         # BACKEND_OP_KINDS is the dispatch contract every backend must
         # implement; it must track the plan vocabulary exactly.
-        assert set(BACKEND_OP_KINDS) == OP_KINDS | FUSED_OP_KINDS
+        assert set(BACKEND_OP_KINDS) == OP_KINDS
 
     def test_sample_names_are_unique_per_kind(self):
         for kind, samples in OP_SAMPLES.items():
@@ -68,7 +68,7 @@ class TestConformancePasses:
     def test_every_kind_is_exercised(self):
         results = run_op_conformance(backends=["numpy"])
         exercised = {r.kind for r in results}
-        assert OP_KINDS | FUSED_OP_KINDS <= exercised
+        assert OP_KINDS <= exercised
         assert set(BACKEND_PRIMITIVES) <= exercised
 
     def test_results_are_deterministic(self):

@@ -22,6 +22,7 @@ from repro.faults import FaultSpace, InferenceEngine, OutcomeTable
 from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR
 from repro.runtime import PlanEngine
+from tests.helpers import progress_telemetry
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +89,7 @@ class TestPlanCampaign:
                 plan_engine,
                 space,
                 checkpoint=checkpoint,
-                progress=_KillAfter(3),
+                telemetry=progress_telemetry(_KillAfter(3)),
                 progress_every=1,
             )
         persisted = {p.stem for p in checkpoint.glob("*.npy")}
@@ -113,7 +114,7 @@ class TestPlanCampaign:
                 module_engine,
                 space,
                 checkpoint=checkpoint,
-                progress=_KillAfter(2),
+                telemetry=progress_telemetry(_KillAfter(2)),
                 progress_every=1,
             )
         table = OutcomeTable.from_exhaustive(
@@ -166,20 +167,31 @@ class TestDistRefusal:
         with pytest.raises(DistError, match="fingerprint mismatch"):
             verify_context_config(context, config)
 
-    def test_worker_refuses_fused_against_unfused(self, campaign_setup):
-        _, plan_engine, space = campaign_setup
-        fused = PlanEngine(
-            plan_engine.model,
-            plan_engine.images,
-            plan_engine.labels,
-            fmt=FLOAT16,
-            fuse=True,
-        )
-        config = exhaustive_config(fused, space)
-        assert config["fusions"] == ["bn_fold", "im2col_workspace"]
-        context = ExhaustiveContext(plan_engine, space)
-        with pytest.raises(DistError, match="fingerprint mismatch"):
-            verify_context_config(context, config)
+    def test_worker_refuses_fused_against_unfused(self, tmp_path, capsys):
+        """Queues whose runtime records ``"fuse": true`` (fused numerics
+        from an earlier release) are refused by name, before any engine
+        is built: by every ``work`` path and by the sampled merge."""
+        from repro.cli.dist import main
+        from repro.dist import ShardQueue
+
+        runtime = {
+            "model": "resnet8_mini",
+            "eval_size": 4,
+            "policy": "accuracy_drop",
+            "engine": "plan",
+            "fuse": True,
+        }
+        for kind in ("exhaustive", "sampled"):
+            root = tmp_path / kind
+            ShardQueue(root).submit([], config={"kind": kind}, runtime=runtime)
+            commands = [["work", str(root)]]
+            if kind == "sampled":
+                commands.append(["merge", str(root)])
+            for argv in commands:
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert "fused numerics" in err
+                assert "no longer computes" in err
 
     def test_matching_plan_config_is_accepted(self, campaign_setup):
         _, plan_engine, space = campaign_setup
@@ -214,7 +226,6 @@ class TestCliWiring:
 
         args = build_parser().parse_args([])
         assert args.engine == "plan"
-        assert args.fuse is False
         assert args.batch_size is None
         args = build_parser().parse_args(
             ["--engine", "module", "--batch-size", "4"]
@@ -231,7 +242,6 @@ class TestCliWiring:
             ["submit", "q", "--model", "resnet8_mini"]
         )
         assert args.engine == "plan"
-        assert args.fuse is False
         args = build_parser().parse_args(
             ["submit", "q", "--model", "resnet8_mini", "--engine", "module"]
         )

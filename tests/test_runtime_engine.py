@@ -9,7 +9,6 @@ from repro.faults import (
     Fault,
     FaultModel,
     FaultInjectionEngine,
-    FaultOutcome,
     InferenceEngine,
 )
 from repro.ieee754 import FLOAT16
@@ -158,8 +157,7 @@ class TestInferenceAccounting:
 class TestFingerprint:
     def test_fingerprint_covers_engine_identity(self, tiny_model, tiny_eval_set):
         """Same weights/images, different classification config -> different
-        fingerprints (satellite: fmt/policy/threshold/kind/fusions are in
-        the hash)."""
+        fingerprints (fmt/policy/threshold/kind are in the hash)."""
         images, labels = tiny_eval_set
         base = InferenceEngine(tiny_model, images, labels)
         variants = [
@@ -173,7 +171,6 @@ class TestFingerprint:
             ),
             InferenceEngine(tiny_model, images, labels, fmt=FLOAT16),
             PlanEngine(tiny_model, images, labels),
-            PlanEngine(tiny_model, images, labels, fuse=True),
         ]
         prints = [base.fingerprint()] + [v.fingerprint() for v in variants]
         assert len(set(prints)) == len(prints), "fingerprint collision"
@@ -210,16 +207,6 @@ class TestCreateEngine:
         assert engine.kind == "module"
         assert engine.batch_size == 1
 
-    def test_fused_plan(self, tiny_model, tiny_eval_set):
-        images, labels = tiny_eval_set
-        engine = create_engine(tiny_model, images, labels, fuse=True)
-        assert engine.fusions == ("bn_fold", "im2col_workspace")
-
-    def test_module_refuses_fusion(self, tiny_model, tiny_eval_set):
-        images, labels = tiny_eval_set
-        with pytest.raises(ValueError, match="plan-engine feature"):
-            create_engine(tiny_model, images, labels, kind="module", fuse=True)
-
     def test_module_refuses_batch_size(self, tiny_model, tiny_eval_set):
         images, labels = tiny_eval_set
         with pytest.raises(ValueError, match="one at a time"):
@@ -237,14 +224,3 @@ class TestCreateEngine:
         with pytest.raises(ValueError, match="batch_size"):
             PlanEngine(tiny_model, images, labels, batch_size=0)
 
-
-class TestFusedOutcomes:
-    def test_fused_engine_classifies_all_faults(self, tiny_model, tiny_eval_set):
-        """Fused outcomes may legitimately differ; they must still be
-        complete and well-formed."""
-        images, labels = tiny_eval_set
-        engine = PlanEngine(tiny_model, images, labels, fuse=True, batch_size=8)
-        faults = _random_faults(engine, 10, seed=3)
-        outcomes = engine.classify_many(faults)
-        assert len(outcomes) == len(faults)
-        assert all(isinstance(o, FaultOutcome) for o in outcomes)

@@ -1,4 +1,4 @@
-"""Execution-plan capture: structure, bit-exact replay, and fusion."""
+"""Execution-plan capture: structure and bit-exact replay."""
 
 from __future__ import annotations
 
@@ -11,14 +11,7 @@ from repro.models import (
     VGGCIFAR,
 )
 from repro.nn import Module
-from repro.runtime import (
-    ExecutionPlan,
-    FUSED_OP_KINDS,
-    OP_KINDS,
-    PlanBuilder,
-    capture_plan,
-    fuse_plan,
-)
+from repro.runtime import OP_KINDS, PlanBuilder, capture_plan
 
 
 def _zoo_minis():
@@ -39,7 +32,7 @@ def batch():
 class TestCaptureBitExact:
     @pytest.mark.parametrize("model_idx", range(3))
     def test_plan_replays_forward_fast_bitwise(self, batch, model_idx):
-        """The unfused plan is byte-for-byte forward_fast."""
+        """The plan is byte-for-byte forward_fast."""
         model = _zoo_minis()[model_idx]
         plan = capture_plan(model)
         expected = model.forward_fast(batch)
@@ -130,43 +123,3 @@ class TestPlanStructure:
     def test_opspec_repr_is_compact(self, plan):
         assert repr(plan.ops[0]) == "%1 = conv2d(0)"
 
-
-class TestFusePlan:
-    @pytest.fixture(scope="class")
-    def model(self):
-        return ResNetCIFAR(blocks_per_stage=1, widths=(4, 6, 8), seed=7).eval()
-
-    def test_fuse_folds_every_conv_bn_pair(self, model):
-        plan = capture_plan(model)
-        fused = fuse_plan(plan)
-        convs = sum(op.kind == "conv2d" for op in plan.ops)
-        bns = sum(op.kind == "batchnorm2d" for op in plan.ops)
-        assert bns == convs  # every conv feeds a BN in this zoo
-        assert sum(op.kind == "conv2d_bn" for op in fused.ops) == convs
-        assert not any(op.kind == "batchnorm2d" for op in fused.ops)
-        assert len(fused.ops) == len(plan.ops) - bns
-        assert fused.fusions == ("bn_fold", "im2col_workspace")
-        assert all(
-            op.kind in OP_KINDS | FUSED_OP_KINDS for op in fused.ops
-        )
-
-    def test_fused_plan_is_close_but_separate(self, model, batch):
-        unfused = capture_plan(model).execute(batch)
-        fused = capture_plan(model, fuse=True).execute(batch)
-        np.testing.assert_allclose(fused, unfused, rtol=1e-4, atol=1e-5)
-
-    def test_fuse_is_idempotent(self, model):
-        fused = capture_plan(model, fuse=True)
-        assert fuse_plan(fused) is fused
-
-    def test_fused_plan_keeps_slot_numbering_valid(self, model, batch):
-        fused = capture_plan(model, fuse=True)
-        assert fused.output_slot == fused.ops[-1].output
-        # execute_all still works against the original slot count.
-        buffers = fused.execute_all(batch)
-        assert len(buffers) == fused.num_slots
-
-    def test_unfused_plan_untouched(self, model):
-        plan = capture_plan(model)
-        assert plan.fusions == ()
-        assert isinstance(plan, ExecutionPlan)

@@ -116,20 +116,6 @@ class TestSerialCampaignJournal:
         assert dones == sorted(dones)
         assert dones[-1] == space.total_population
 
-    def test_legacy_progress_callback_still_works_but_warns(
-        self, campaign_setup, tmp_path
-    ):
-        engine, space = campaign_setup
-        calls = []
-        with pytest.warns(DeprecationWarning, match="progress"):
-            OutcomeTable.from_exhaustive(
-                engine,
-                space,
-                progress=lambda done, total: calls.append((done, total)),
-                progress_every=1,
-            )
-        assert calls[-1] == (space.total_population, space.total_population)
-
 
 class TestParallelCampaignJournal:
     def test_workers_share_the_journal(

@@ -13,13 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.check import (
-    PlanVerificationError,
-    check_plan_vectorized,
-    fingerprints_compatible,
-    run_conformance,
-    verify_plan_vectorized,
-)
+from repro.check import fingerprints_compatible, run_conformance
 from repro.data import SynthCIFAR
 from repro.dist import (
     DistError,
@@ -34,9 +28,7 @@ from repro.runtime import (
     DEFAULT_VEC_BATCH_SIZE,
     PlanEngine,
     VectorizedPlanEngine,
-    capture_plan,
     create_engine,
-    fuse_plan,
 )
 
 
@@ -138,15 +130,6 @@ class TestFingerprints:
     def test_unrelated_fingerprints_are_not_compatible(self):
         assert not fingerprints_compatible("a" * 64, "b" * 64)
 
-    def test_fused_plan_is_refused(self):
-        model = ResNetCIFAR(blocks_per_stage=1, widths=(2, 4, 6), seed=3)
-        model.eval()
-        fused = fuse_plan(capture_plan(model))
-        diagnostics = verify_plan_vectorized(fused)
-        assert any(d.rule == "P122" for d in diagnostics)
-        with pytest.raises(PlanVerificationError, match="P122"):
-            check_plan_vectorized(fused)
-
     def test_create_engine_wiring(self, tiny_setup):
         exact, _, _ = tiny_setup
         data = SynthCIFAR("test", size=8, seed=42)
@@ -156,14 +139,6 @@ class TestFingerprints:
         assert isinstance(engine, VectorizedPlanEngine)
         assert engine.kind == "plan_vectorized"
         assert engine.batch_size == DEFAULT_VEC_BATCH_SIZE
-        with pytest.raises(ValueError, match="fusion"):
-            create_engine(
-                exact.model,
-                data.images,
-                data.labels,
-                kind="plan_vectorized",
-                fuse=True,
-            )
 
 
 class TestMixedEngineDist:
