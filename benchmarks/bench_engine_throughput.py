@@ -173,8 +173,8 @@ def main(argv: list[str] | None = None) -> int:
 
     module_rate = results["module"]["faults_per_sec"]
     # All four engines run the reference backend here (bit-identity is
-    # asserted above, and only the reference attests it); the stamp keeps
-    # cost-model engine ratios from ever mixing backends.
+    # asserted above, and only the reference attests it); the stamp
+    # records the numpy version the rates were measured on.
     backend = engines["plan"].backend
     payload = {
         "benchmark": "engine_throughput",

@@ -1,111 +1,36 @@
-"""Backend registry and selection.
+"""Kernel backends: the :class:`Backend` interface and its numpy reference.
 
-Selection precedence mirrors ``resolve_workers``: an explicit
-``backend=`` argument (name or :class:`Backend` instance) wins, then the
-``REPRO_BACKEND`` environment variable, then the ``numpy`` reference
-backend.  Construction is cached per name — backends are stateless
-kernel tables, so one instance serves every plan in the process.
+Every plan and engine runs the numpy reference kernels unless it is
+handed another :class:`Backend` instance.  Backends are stateless
+kernel tables, so one shared :data:`REFERENCE_BACKEND` serves every
+plan in the process.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.backends.base import (
-    BACKEND_OP_KINDS,
-    BACKEND_PRIMITIVES,
-    Backend,
-    BackendUnavailableError,
-)
+from repro.backends.base import BACKEND_OP_KINDS, BACKEND_PRIMITIVES, Backend
 from repro.backends.numpy_backend import NumpyBackend
 
-#: Environment variable consulted when no explicit backend is given.
-BACKEND_ENV = "REPRO_BACKEND"
-
-_REGISTRY: dict[str, type[Backend]] = {}
-_INSTANCES: dict[str, Backend] = {}
+#: The numpy reference backend every plan and engine defaults to.
+REFERENCE_BACKEND = NumpyBackend()
 
 
-def register_backend(name: str, cls: type[Backend]) -> None:
-    """Register a backend class under *name* (test/plugin hook)."""
-    _REGISTRY[name] = cls
-    _INSTANCES.pop(name, None)
-
-
-def get_backend(name: str) -> Backend:
-    """Construct (or return the cached) backend registered as *name*.
-
-    Raises :class:`BackendUnavailableError` for unknown names and
-    propagates it from backends whose library is not installed.
-    """
-    instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        raise BackendUnavailableError(
-            f"unknown backend {name!r} (registered: "
-            + ", ".join(sorted(_REGISTRY))
-            + ")"
-        )
-    instance = cls()
-    _INSTANCES[name] = instance
-    return instance
-
-
-def available_backends() -> list[str]:
-    """Registered backend names that construct successfully, sorted."""
-    names = []
-    for name in sorted(_REGISTRY):
-        try:
-            get_backend(name)
-        except BackendUnavailableError:
-            continue
-        names.append(name)
-    return names
-
-
-def resolve_backend(backend: Backend | str | None = None) -> Backend:
-    """Resolve a backend: explicit argument, then env var, then numpy.
-
-    Accepts a :class:`Backend` instance (passed through), a registered
-    name, or ``None`` — which consults ``REPRO_BACKEND`` and defaults to
-    the reference backend.
-    """
-    if isinstance(backend, Backend):
-        return backend
+def resolve_backend(backend: Backend | None = None) -> Backend:
+    """*backend* itself, or the shared numpy reference when ``None``."""
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV, "").strip() or "numpy"
-    return get_backend(backend)
+        return REFERENCE_BACKEND
+    if not isinstance(backend, Backend):
+        raise TypeError(
+            f"backend must be a Backend instance or None, got {backend!r}"
+        )
+    return backend
 
-
-def backend_attestation(backend: Backend | str | None = None) -> dict:
-    """The resolved backend's attestation record (see ``Backend.attestation``)."""
-    return resolve_backend(backend).attestation()
-
-
-def _register_builtin() -> None:
-    register_backend("numpy", NumpyBackend)
-    # Registering the class is free: the Array-API library probe runs at
-    # construction, so unavailability surfaces as a
-    # BackendUnavailableError from get_backend(), never at import time.
-    from repro.backends.array_api import ArrayApiBackend
-
-    register_backend("array_api", ArrayApiBackend)
-
-
-_register_builtin()
 
 __all__ = [
-    "BACKEND_ENV",
     "BACKEND_OP_KINDS",
     "BACKEND_PRIMITIVES",
     "Backend",
-    "BackendUnavailableError",
     "NumpyBackend",
-    "available_backends",
-    "backend_attestation",
-    "get_backend",
-    "register_backend",
+    "REFERENCE_BACKEND",
     "resolve_backend",
 ]

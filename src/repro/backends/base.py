@@ -6,8 +6,8 @@ per op kind, plus the ``gemm``/``im2col`` primitives the engines call
 directly.  The reference :class:`~repro.backends.numpy_backend.NumpyBackend`
 delegates to the exact :mod:`repro.nn.functional` routines the module
 engine's ``forward_fast`` executes, so every engine shares one set of
-kernels; alternative backends (Array API, GPU libraries) implement the
-same interface with different numerics.
+kernels.  A different :class:`Backend` instance handed to an engine
+implements the same interface with its own numerics.
 
 Because the paper's statistical-FI methodology depends on knowing when
 outcomes are bit-identical, a backend must *declare* two per-op traits,
@@ -32,11 +32,6 @@ verification pass declared the fingerprints compatible.
 from __future__ import annotations
 
 import numpy as np
-
-
-class BackendUnavailableError(RuntimeError):
-    """The requested backend is unknown or its library is not installed."""
-
 
 #: Op kinds every backend must dispatch (the kernel-table kinds).
 BACKEND_OP_KINDS = (

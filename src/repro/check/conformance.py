@@ -9,30 +9,25 @@ fingerprints compatible) — this check runs both engines over the same
 campaign-representative fault sample and compares the full per-fault
 prediction matrices and classified outcomes row by row.  The module
 engine (bit-identical by the capture contract) rides along, so all
-three engines exercise the backend interface per run.
-With ``backend=`` set to a non-reference backend, the comparison is
-instead that backend's plan engine against the reference plan engine,
-judged by *tolerance* (their fingerprints differ by construction, so no
-bit-exactness is attested).
+three engines are compared per run.
 
 **Op level** (:func:`run_op_conformance`): the op_db registry
 (:mod:`repro.check.opdb`) supplies deterministic samples per op kind;
-every registered backend runs every sample under three checks —
-cross-backend agreement at the backend's declared tolerance class,
-falsification of claimed batch-invariance (stacked vs separate runs
-must match bitwise), and reference plan-vs-module equivalence.  A
+every backend under test runs every sample under three checks —
+agreement with the reference at the backend's declared tolerance
+class, falsification of claimed batch-invariance (stacked vs separate
+runs must match bitwise), and reference plan-vs-module equivalence.  A
 backend that mis-declares either trait fails here, which is what the
 mutation tests assert.
 
-A *flip* is any (fault, image) cell where the two engines predict
+A *flip* is any (fault, image) cell where two engines predict
 different classes; an *outcome flip* is a fault whose campaign
-classification differs.  ``tolerance`` is the permitted flip fraction —
-``0.0`` by default, and forced to ``0.0`` whenever the engines attest
-bit-exactness (the fingerprint-compatibility claim admits no slack).
+classification differs.  The engines attest bit-exactness, so no flip
+is tolerated.
 
 ``repro-check conform`` is the CLI front end; CI runs it on the mini
 reference models (and ``conform --ops`` over the op_db) and fails the
-build on any out-of-tolerance flip.
+build on any flip.
 """
 
 from __future__ import annotations
@@ -60,8 +55,9 @@ class ConformanceReport:
     prediction_flips: int
     #: Faults whose campaign outcome classification differs.
     outcome_flips: int
-    #: Permitted flip fraction (0.0 when bit-exactness is attested).
-    tolerance: float
+    #: Module-engine (fault, image) cells differing from the exact plan
+    #: engine.
+    module_prediction_flips: int
     #: Engines declared their fingerprints compatible (bit-exact claim).
     bit_exact_attested: bool
     #: Faults fully retired by pre-certification (no kernel work).
@@ -71,13 +67,8 @@ class ConformanceReport:
     #: Rows that ran the full suffix and were argmax-classified.
     survivor_rows: int
     ok: bool
-    #: Fault indices of out-of-tolerance outcome flips (first 32).
+    #: Fault indices of outcome flips (first 32).
     flipped_faults: tuple[int, ...] = field(default=())
-    #: Kernel backend of the engine under test ("numpy" = reference).
-    backend: str = "numpy"
-    #: Module-engine (fault, image) cells differing from the exact plan
-    #: engine; None when the module engine did not run.
-    module_prediction_flips: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -86,15 +77,13 @@ class ConformanceReport:
             "eval_size": self.eval_size,
             "prediction_flips": self.prediction_flips,
             "outcome_flips": self.outcome_flips,
-            "tolerance": self.tolerance,
+            "module_prediction_flips": self.module_prediction_flips,
             "bit_exact_attested": self.bit_exact_attested,
             "precertified": self.precertified,
             "certified_rows": self.certified_rows,
             "survivor_rows": self.survivor_rows,
             "ok": self.ok,
             "flipped_faults": list(self.flipped_faults),
-            "backend": self.backend,
-            "module_prediction_flips": self.module_prediction_flips,
         }
 
 
@@ -132,10 +121,7 @@ def run_conformance(
     eval_size: int = 64,
     faults: int = 128,
     seed: int = 0,
-    tolerance: float = 0.0,
     batch_size: int = 16,
-    backend: str | None = None,
-    include_module: bool | None = None,
 ) -> ConformanceReport:
     """Compare engines fault by fault over one campaign-representative sample.
 
@@ -143,16 +129,14 @@ def run_conformance(
     reference checkpoint is used, training it first if absent) or an
     already-built :class:`~repro.nn.module.Module`.
 
-    With the default (reference) *backend*, the engine under test is the
-    vectorized engine against the exact plan engine, plus — unless
-    disabled — a module-engine bit-identity check (gating).  With a
-    non-reference *backend*, the engine under test is that backend's
-    plan engine; flips are judged against *tolerance* alone.
+    The engine under test is the vectorized engine against the exact
+    plan engine, plus a module-engine bit-identity check; any flip in
+    either comparison fails the report.
     """
     # Lazy: check is imported by runtime's plan layer; the engines pull
     # in the whole runtime stack.
-    from repro.backends import resolve_backend
     from repro.data import SynthCIFAR
+    from repro.faults.engine import InferenceEngine
     from repro.runtime import PlanEngine, VectorizedPlanEngine
 
     if isinstance(model, str):
@@ -166,31 +150,18 @@ def run_conformance(
     else:
         name = type(model).__name__
 
-    resolved = resolve_backend(backend)
-    reference_run = resolved.is_reference
-    if include_module is None:
-        include_module = reference_run
-
     data = SynthCIFAR("test", size=eval_size, seed=1234)
     exact = PlanEngine(
         model, data.images, data.labels, batch_size=batch_size
     )
-    if reference_run:
-        under_test = VectorizedPlanEngine(
-            model, data.images, data.labels, batch_size=batch_size
-        )
-    else:
-        under_test = PlanEngine(
-            model, data.images, data.labels, batch_size=batch_size,
-            backend=resolved,
-        )
+    under_test = VectorizedPlanEngine(
+        model, data.images, data.labels, batch_size=batch_size
+    )
     from repro.check.plan import fingerprints_compatible
 
     attested = fingerprints_compatible(
         under_test.plan_fingerprint, exact.plan_fingerprint
     )
-    if attested:
-        tolerance = 0.0
 
     sample = _sample_faults(exact, faults, seed)
     preds_exact = exact.predictions_for_faults(sample)
@@ -205,19 +176,16 @@ def run_conformance(
         for i, (a, b) in enumerate(zip(outcomes_exact, outcomes_test))
         if a != b
     ]
-    flip_fraction = len(flipped) / max(len(sample), 1)
-    ok = flip_fraction <= tolerance and (
-        not attested or prediction_flips == 0
+
+    module_engine = InferenceEngine(model, data.images, data.labels)
+    preds_module = np.asarray(module_engine.predictions_for_faults(sample))
+    module_flips = int((preds_module != np.asarray(preds_exact)).sum())
+    ok = (
+        attested
+        and prediction_flips == 0
+        and not flipped
+        and module_flips == 0
     )
-
-    module_flips = None
-    if include_module:
-        from repro.faults.engine import InferenceEngine
-
-        module_engine = InferenceEngine(model, data.images, data.labels)
-        preds_module = np.asarray(module_engine.predictions_for_faults(sample))
-        module_flips = int((preds_module != np.asarray(preds_exact)).sum())
-        ok = ok and module_flips == 0
 
     return ConformanceReport(
         model=name,
@@ -225,15 +193,13 @@ def run_conformance(
         eval_size=eval_size,
         prediction_flips=prediction_flips,
         outcome_flips=len(flipped),
-        tolerance=tolerance,
+        module_prediction_flips=module_flips,
         bit_exact_attested=attested,
-        precertified=getattr(under_test, "precertified", 0),
-        certified_rows=getattr(under_test, "certified_rows", 0),
-        survivor_rows=getattr(under_test, "survivor_rows", 0),
+        precertified=under_test.precertified,
+        certified_rows=under_test.certified_rows,
+        survivor_rows=under_test.survivor_rows,
         ok=ok,
         flipped_faults=tuple(flipped[:32]),
-        backend=resolved.name,
-        module_prediction_flips=module_flips,
     )
 
 
@@ -342,29 +308,23 @@ def _check_batch_invariance(
 
 def run_op_conformance(
     *,
-    backends: list[str | Backend] | None = None,
+    backends: list[Backend] | None = None,
     kinds: list[str] | None = None,
     seed: int = 0,
 ) -> list[OpConformanceResult]:
     """Run the op_db suite: every sample × every backend × every check.
 
-    *backends* is a list of backend names or instances (default: every
-    registered backend that constructs — graceful degradation for
-    optional libraries); *kinds* restricts the op kinds.  Returns one
-    :class:`OpConformanceResult` per executed check; a mis-declared
-    tolerance or batch-invariance class surfaces as ``ok=False`` rows.
+    *backends* is a list of :class:`~repro.backends.Backend` instances
+    under test (default: the numpy reference alone); *kinds* restricts
+    the op kinds.  Returns one :class:`OpConformanceResult` per executed
+    check; a mis-declared tolerance or batch-invariance class surfaces
+    as ``ok=False`` rows.
     """
-    from repro.backends import Backend, available_backends, get_backend
+    from repro.backends import REFERENCE_BACKEND
     from repro.check.opdb import OP_SAMPLES
 
-    reference = get_backend("numpy")
-    if backends is None:
-        resolved = [get_backend(name) for name in available_backends()]
-    else:
-        resolved = [
-            entry if isinstance(entry, Backend) else get_backend(entry)
-            for entry in backends
-        ]
+    reference = REFERENCE_BACKEND
+    resolved: list[Backend] = [reference] if backends is None else backends
     selected = sorted(OP_SAMPLES) if kinds is None else [
         kind for kind in sorted(OP_SAMPLES) if kind in set(kinds)
     ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.backends import Backend
 from repro.check.diagnostics import Diagnostic, PlanVerificationError
 from repro.check.kernels import (
     ABSORPTION_KINDS,
@@ -111,7 +112,10 @@ def _params_signature(params: dict) -> list:
 
 
 def plan_fingerprint(
-    plan: ExecutionPlan, *, mode: str = "exact", backend: str | None = None
+    plan: ExecutionPlan,
+    *,
+    mode: str = "exact",
+    backend: Backend | None = None,
 ) -> str:
     """Structural sha256 of *plan* (ops, slots, flags — not weight values).
 

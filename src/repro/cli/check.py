@@ -12,10 +12,9 @@ Three subcommands:
   current findings.
 - ``repro-check conform`` — run the vectorized-vs-exact conformance
   suite (:func:`repro.check.run_conformance`) on reference models;
-  exit 1 on any out-of-tolerance outcome flip.  ``--backend`` checks a
-  non-reference kernel backend against the exact engine; ``--ops``
-  runs the op_db per-kernel suite (:func:`repro.check.run_op_conformance`)
-  over every op kind on every available backend instead.
+  exit 1 on any prediction or outcome flip.  ``--ops`` runs the op_db
+  per-kernel suite (:func:`repro.check.run_op_conformance`) over every
+  op kind of the reference kernels instead.
 - ``repro-check protocol`` — verify the distributed queue protocol:
   the static filesystem-effect pass (Q301–Q306) over the real
   ``repro.dist`` source, then the crash-interleaving model checker
@@ -120,29 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     conform.add_argument("--seed", type=int, default=0)
     conform.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.0,
-        help="permitted outcome-flip fraction; forced to 0 when the "
-        "engines attest bit-exactness (default: 0)",
-    )
-    conform.add_argument(
         "--out",
         metavar="JSON",
         default=None,
         help="write the per-model conformance reports to this file",
     )
     conform.add_argument(
-        "--backend",
-        default=None,
-        help="kernel backend under test (default: REPRO_BACKEND or numpy)",
-    )
-    conform.add_argument(
         "--ops",
         action="store_true",
         help="run the op_db per-kernel conformance suite instead of the "
-        "model-level engine suite (covers every op kind on every "
-        "available backend, or just --backend when given)",
+        "model-level engine suite (covers every op kind)",
     )
 
     protocol = sub.add_parser(
@@ -283,20 +269,17 @@ def _cmd_conform(args) -> int:
             eval_size=args.eval_size,
             faults=args.faults,
             seed=args.seed,
-            tolerance=args.tolerance,
-            backend=args.backend,
         )
         reports.append(report)
         verdict = "ok" if report.ok else "FAIL"
         failed = failed or not report.ok
-        attest = "bit-exact" if report.bit_exact_attested else (
-            f"tolerance={report.tolerance}"
-        )
+        attest = "bit-exact" if report.bit_exact_attested else "unattested"
         print(
-            f"{verdict:4s} {report.model:18s} backend={report.backend} "
+            f"{verdict:4s} {report.model:18s} "
             f"faults={report.faults:4d} "
             f"flips={report.outcome_flips}/{report.faults} "
-            f"cells={report.prediction_flips} [{attest}] "
+            f"cells={report.prediction_flips} "
+            f"module={report.module_prediction_flips} [{attest}] "
             f"precertified={report.precertified} "
             f"survivors={report.survivor_rows}"
         )
@@ -312,8 +295,7 @@ def _cmd_conform(args) -> int:
 def _cmd_conform_ops(args) -> int:
     from repro.check.conformance import run_op_conformance
 
-    backends = [args.backend] if args.backend else None
-    results = run_op_conformance(backends=backends, seed=args.seed)
+    results = run_op_conformance(seed=args.seed)
     failures = [r for r in results if not r.ok]
     per_backend: dict[str, int] = {}
     for result in results:

@@ -96,6 +96,12 @@ def _build_engine(runtime: dict, *, telemetry=None):
             "into conv), which this release no longer computes; resubmit "
             "it to a fresh queue"
         )
+    if runtime.get("backend"):
+        raise DistError(
+            "this campaign was submitted on the "
+            f"{runtime['backend']!r} kernel backend, which this release "
+            "no longer provides; resubmit it to a fresh queue"
+        )
     from repro.runtime import create_engine
 
     model = create_model(runtime["model"], pretrained=True)
@@ -108,9 +114,6 @@ def _build_engine(runtime: dict, *, telemetry=None):
         # "engine" key; they were computed by the module engine.
         kind=runtime.get("engine", "module"),
         policy=runtime.get("policy", "accuracy_drop"),
-        # Queues without a "backend" key predate kernel backends (or were
-        # submitted on the reference); the worker's env still applies.
-        backend=runtime.get("backend"),
         telemetry=telemetry,
     )
     return engine, FaultSpace(engine.layers)
@@ -157,13 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("plan", "plan_vectorized", "module"),
         help="execution engine; plan, vectorized and module outcomes "
         "are bit-identical (default: plan)",
-    )
-    submit.add_argument(
-        "--backend",
-        default=None,
-        help="kernel backend (default: REPRO_BACKEND or the numpy "
-        "reference); a non-reference backend's attestation joins the "
-        "campaign fingerprint and workers rebuild with the same backend",
     )
     submit.add_argument(
         "--shards", type=int, default=4, help="shard count (default: 4)"
@@ -269,14 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         "different engine than the campaign was submitted with; "
         "accepted only when the verifier attests both engines' "
         "fingerprints outcome-compatible",
-    )
-    work.add_argument(
-        "--backend",
-        default=None,
-        help="exhaustive campaigns: run this worker's shards on a "
-        "different kernel backend than the campaign was submitted "
-        "with; refused unless the two backend-qualified plan "
-        "fingerprints were declared outcome-compatible",
     )
     work.add_argument(
         "--heartbeat-interval",
@@ -411,7 +399,6 @@ def _cmd_submit(args) -> int:
             "eval_size": args.eval_size,
             "policy": args.policy,
             "engine": args.engine,
-            "backend": args.backend,
         }
     )
     runtime = {
@@ -421,11 +408,6 @@ def _cmd_submit(args) -> int:
         "engine": args.engine,
         "golden_accuracy": engine.golden_accuracy,
     }
-    engine_backend = getattr(engine, "backend", None)
-    if engine_backend is not None and not engine_backend.is_reference:
-        # Pin the resolved backend by name so every worker rebuilds with
-        # it regardless of the worker host's own REPRO_BACKEND.
-        runtime["backend"] = engine_backend.name
     if getattr(engine, "plan_fingerprint", None) is not None:
         # Pin the verified plan structure: the merge refuses shard
         # results that do not attest this fingerprint.
@@ -511,8 +493,6 @@ def _cmd_work(args) -> int:
     if config["kind"] == "exhaustive":
         if args.engine:
             runtime = dict(runtime, engine=args.engine)
-        if args.backend:
-            runtime = dict(runtime, backend=args.backend)
         engine, space = _build_engine(runtime, telemetry=telemetry)
         expected_plan = campaign.get("runtime", {}).get("plan_sha256")
         rebuilt_plan = getattr(engine, "plan_fingerprint", None)
@@ -533,11 +513,10 @@ def _cmd_work(args) -> int:
         context = ExhaustiveContext(engine, space)
         verify_context_config(context, config)
     else:
-        if args.engine or args.backend:
+        if args.engine:
             raise DistError(
-                "--engine/--backend only apply to exhaustive campaigns; "
-                "sampled workers replay or inject under the submitted "
-                "engine and backend"
+                "--engine only applies to exhaustive campaigns; sampled "
+                "workers replay or inject under the submitted engine"
             )
         engine, space = _build_engine(runtime, telemetry=telemetry)
         plan = _build_plan(runtime, space)
@@ -566,7 +545,6 @@ def _cmd_work(args) -> int:
                 eval_size=int(runtime["eval_size"]),
                 policy=runtime.get("policy", "accuracy_drop"),
                 engine_kind=runtime.get("engine", "module"),
-                backend=runtime.get("backend"),
                 telemetry=telemetry,
             )
             oracle = TableOracle(table, space)

@@ -68,13 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reference). Outcomes are bit-identical in all three.",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        help="kernel backend for the plan engine (default: REPRO_BACKEND "
-        "or the numpy reference); non-reference backends cache their "
-        "numerically distinct outcomes under a separate artifact",
-    )
-    parser.add_argument(
         "--batch-size",
         type=int,
         default=None,
@@ -125,7 +118,6 @@ def main(argv: list[str] | None = None) -> int:
             args.model,
             eval_size=args.eval_size,
             engine_kind=args.engine,
-            backend=args.backend,
             batch_size=args.batch_size,
             workers=args.workers,
             shards=args.shards,

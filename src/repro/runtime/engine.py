@@ -99,11 +99,11 @@ class PlanEngine(FaultInjectionEngine):
     batch_size:
         Same-layer faults evaluated per stacked tail pass (>= 1).
     backend:
-        Kernel backend (name, instance, or None → ``REPRO_BACKEND`` →
-        numpy reference).  Non-reference backends run every op through
-        the generic dense paths (the channel-sparse fast path is stated
-        against reference BLAS row-GEMM identities) and carry a
-        backend-qualified plan fingerprint.
+        Kernel backend instance (None → the numpy reference).
+        Non-reference backends run every op through the generic dense
+        paths (the channel-sparse fast path is stated against reference
+        BLAS row-GEMM identities) and carry a backend-qualified plan
+        fingerprint.
     """
 
     kind = "plan"
@@ -119,7 +119,7 @@ class PlanEngine(FaultInjectionEngine):
         threshold: float = 0.0,
         telemetry: Telemetry | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        backend: Backend | str | None = None,
+        backend: Backend | None = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -639,7 +639,7 @@ def create_engine(
     threshold: float = 0.0,
     telemetry: Telemetry | None = None,
     batch_size: int | None = None,
-    backend: Backend | str | None = None,
+    backend: Backend | None = None,
 ) -> FaultInjectionEngine:
     """Build a fault-classification engine of the requested *kind*.
 
@@ -648,11 +648,11 @@ def create_engine(
     variant-axis :class:`~repro.runtime.vectorized.VectorizedPlanEngine`;
     ``kind="module"`` the stage-granular reference
     :class:`repro.faults.InferenceEngine`.  Plan, vectorized and module
-    engines produce bit-identical outcomes.  *backend* selects the
-    kernel backend (explicit argument → ``REPRO_BACKEND`` → numpy
-    reference); only the plan engine accepts non-reference backends —
-    the module engine *is* the reference numerics and the vectorized
-    certificates are proved against them.
+    engines produce bit-identical outcomes.  *backend* is the kernel
+    backend instance (``None`` → the numpy reference); only the plan
+    engine accepts non-reference backends — the module engine *is* the
+    reference numerics and the vectorized certificates are proved
+    against them.
     """
     if kind == "plan_vectorized":
         from repro.runtime.vectorized import (

@@ -37,7 +37,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.backends import Backend, get_backend, resolve_backend
+from repro.backends import Backend, resolve_backend
 from repro.nn.module import Module
 
 #: Op kinds a capture may emit.
@@ -158,10 +158,8 @@ class ExecutionPlan:
     plan is SSA-like and trivially forward-only.
 
     Kernels live on ``backend`` (see :mod:`repro.backends`): the plan
-    records *what* to compute, the backend supplies *how*.  A bare plan
-    defaults to the numpy reference backend — engine-level selection
-    (``create_engine(backend=...)`` / ``REPRO_BACKEND``) happens at
-    capture, not here, so hand-built plans stay bit-exact by default.
+    records *what* to compute, the backend supplies *how*.  Without an
+    explicit backend a plan runs the shared numpy reference.
     """
 
     def __init__(
@@ -177,7 +175,7 @@ class ExecutionPlan:
         self.num_slots = num_slots
         self.input_slot = input_slot
         self.output_slot = output_slot
-        self.backend = backend if backend is not None else get_backend("numpy")
+        self.backend = resolve_backend(backend)
         self._affected: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
@@ -237,15 +235,14 @@ class ExecutionPlan:
 def capture_plan(
     model: Module,
     *,
-    backend: Backend | str | None = None,
+    backend: Backend | None = None,
 ) -> ExecutionPlan:
     """Lower *model*'s forward pass into an :class:`ExecutionPlan`.
 
     The model must implement :meth:`~repro.nn.Module.capture` (all zoo
-    models do).  *backend* (name, instance, or None → ``REPRO_BACKEND``
-    → numpy) selects the kernel backend the plan executes on;
-    non-reference backends qualify the plan fingerprint with their
-    attestation.
+    models do).  *backend* is the kernel backend the plan executes on
+    (``None`` → the numpy reference); a non-reference backend qualifies
+    the plan fingerprint with its attestation.
 
     Every captured plan is statically verified (O(ops²), milliseconds)
     before it crosses this trust boundary; a plan that fails raises
@@ -255,8 +252,7 @@ def capture_plan(
     builder = PlanBuilder()
     output = model.capture(builder, builder.input_slot)
     plan = builder.build(output)
-    if backend is not None:
-        plan.backend = resolve_backend(backend)
+    plan.backend = resolve_backend(backend)
     # Lazy import: repro.check.plan reasons *about* this module.
     from repro.check import check_plan
 

@@ -67,6 +67,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.backends import Backend, resolve_backend
 from repro.faults.model import Fault
 from repro.ieee754 import FLOAT32, FloatFormat
 from repro.nn import functional as F
@@ -148,10 +149,8 @@ class VectorizedPlanEngine(PlanEngine):
         telemetry: Telemetry | None = None,
         batch_size: int = DEFAULT_VEC_BATCH_SIZE,
         op_budget: int = DEFAULT_OP_BUDGET,
-        backend=None,
+        backend: Backend | None = None,
     ) -> None:
-        from repro.backends import resolve_backend
-
         resolved = resolve_backend(backend)
         if not resolved.is_reference:
             raise ValueError(

@@ -24,20 +24,14 @@ def exhaustive_table_path(
     *,
     eval_size: int = 64,
     policy: str = "accuracy_drop",
-    backend: str | None = None,
 ) -> Path:
     """Cache location for one exhaustive configuration.
 
-    Plan and module engines share a cache entry (their outcomes are
-    bit-identical).  *backend* names a non-reference kernel backend,
-    whose outcomes never share the reference cache (``_via_<backend>``
-    suffix); pass ``None`` for the reference.
+    Every engine kind shares a cache entry (their outcomes are
+    bit-identical).
     """
-    suffix = "" if backend is None else f"_via_{backend}"
     return (
-        artifacts_dir()
-        / "exhaustive"
-        / f"{model_name}_n{eval_size}_{policy}{suffix}.npz"
+        artifacts_dir() / "exhaustive" / f"{model_name}_n{eval_size}_{policy}.npz"
     )
 
 
@@ -46,11 +40,10 @@ def exhaustive_checkpoint_path(
     *,
     eval_size: int = 64,
     policy: str = "accuracy_drop",
-    backend: str | None = None,
 ) -> Path:
     """Checkpoint directory for one exhaustive configuration."""
     path = exhaustive_table_path(
-        model_name, eval_size=eval_size, policy=policy, backend=backend
+        model_name, eval_size=eval_size, policy=policy
     )
     return path.with_suffix(".ckpt")
 
@@ -71,7 +64,6 @@ def load_or_run_exhaustive(
     eval_size: int = 64,
     policy: str = "accuracy_drop",
     engine_kind: str = "plan",
-    backend: str | None = None,
     batch_size: int | None = None,
     workers: int | None = 1,
     shards: int | None = None,
@@ -88,13 +80,10 @@ def load_or_run_exhaustive(
     the same model/eval configuration, so sampled campaigns can either
     replay from the table or re-inject through the engine.
 
-    *engine_kind* selects ``"plan"`` (default) or ``"module"``
-    (reference) execution; plan outcomes are bit-identical to module
-    outcomes, so both kinds share the cache.  *batch_size* tunes how
-    many same-layer faults share one tail pass (plan engine only).  *backend* selects
-    the kernel backend (default: ``REPRO_BACKEND`` or the numpy
-    reference); non-reference backends are numerically distinct and
-    cache under their own ``_via_<backend>`` artifact.
+    *engine_kind* selects ``"plan"`` (default), ``"plan_vectorized"``
+    or ``"module"`` (reference) execution; all three are bit-identical
+    in outcomes, so every kind shares the cache.  *batch_size* tunes how
+    many same-layer faults share one tail pass (plan engines only).
 
     With *shards* set the cold-cache campaign instead goes through
     :func:`repro.dist.run_sharded_exhaustive`: the work is split into
@@ -117,19 +106,12 @@ def load_or_run_exhaustive(
         data.labels,
         kind=engine_kind,
         policy=policy,
-        backend=backend,
         batch_size=batch_size,
         telemetry=telemetry,
     )
     space = FaultSpace(engine.layers)
-    engine_backend = getattr(engine, "backend", None)
-    backend_name = (
-        engine_backend.name
-        if engine_backend is not None and not engine_backend.is_reference
-        else None
-    )
     path = exhaustive_table_path(
-        model_name, eval_size=eval_size, policy=policy, backend=backend_name
+        model_name, eval_size=eval_size, policy=policy
     )
     if path.is_file():
         with tele.span("artifacts.load_exhaustive", emit=True, model=model_name):
@@ -166,11 +148,6 @@ def load_or_run_exhaustive(
                 "eval_size": eval_size,
                 "policy": policy,
                 "engine": engine.kind,
-                **(
-                    {"backend": backend_name}
-                    if backend_name is not None
-                    else {}
-                ),
             },
         )
         table.metadata["model"] = model_name
@@ -179,7 +156,7 @@ def load_or_run_exhaustive(
         return table, space, engine
     checkpoint = (
         exhaustive_checkpoint_path(
-            model_name, eval_size=eval_size, policy=policy, backend=backend_name
+            model_name, eval_size=eval_size, policy=policy
         )
         if resume
         else None

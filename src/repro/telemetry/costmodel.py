@@ -48,7 +48,6 @@ class EngineRate:
     kind: str  # create_engine kind: module / plan / plan_vectorized
     batch_size: int
     faults_per_sec: float
-    backend: str = "numpy"  # kernel backend the bench ran on
 
     def to_dict(self) -> dict:
         return {
@@ -56,7 +55,6 @@ class EngineRate:
             "kind": self.kind,
             "batch_size": self.batch_size,
             "faults_per_sec": self.faults_per_sec,
-            "backend": self.backend,
         }
 
 
@@ -75,15 +73,11 @@ def load_bench(path: str | os.PathLike) -> dict[str, EngineRate]:
 
     Reads the top-level (latest) ``engines`` block; the appended
     ``history`` trajectory is ignored here — the newest measurement is
-    the one that prices future campaigns.  Each rate carries the kernel
-    backend the bench ran on (benches written before backend selection
-    existed default to the numpy reference), so relative engine speeds
-    are only ever compared within one backend.
+    the one that prices future campaigns.
     """
     with open(path, encoding="utf-8") as stream:
         payload = json.load(stream)
     engines = payload.get("engines", {})
-    backend = payload.get("backend", {}).get("name", "numpy")
     rates = {}
     for name in sorted(engines):
         row = engines[name]
@@ -92,7 +86,6 @@ def load_bench(path: str | os.PathLike) -> dict[str, EngineRate]:
             kind=_BENCH_KINDS.get(name, name),
             batch_size=int(row.get("batch_size", 1)),
             faults_per_sec=float(row["faults_per_sec"]),
-            backend=backend,
         )
     return rates
 
@@ -191,18 +184,13 @@ class CostModel:
         """Seconds multiplier from the measured engine to *kind*.
 
         Derived from the bench's relative rates; 1.0 when either side is
-        missing from the bench (prediction falls back to measured cost),
-        or when the two rates were measured on different kernel backends
-        — a cross-backend ratio mixes backend speed into the engine
-        ratio, so it does not transfer.
+        missing from the bench (prediction falls back to measured cost).
         """
         source = self.engine_rates.get(
             _bench_name(self.measured_engine, self.measured_batch_size)
         )
         target = self.engine_rates.get(_bench_name(kind, batch_size))
         if source is None or target is None:
-            return 1.0
-        if source.backend != target.backend:
             return 1.0
         if target.faults_per_sec <= 0:
             return 1.0
@@ -358,7 +346,6 @@ class CostModel:
                 kind=row["kind"],
                 batch_size=int(row["batch_size"]),
                 faults_per_sec=float(row["faults_per_sec"]),
-                backend=row.get("backend", "numpy"),
             )
             for name, row in record.get("engine_rates", {}).items()
         }

@@ -1,11 +1,33 @@
-"""Test helpers: numeric gradient checking and campaign progress hooks."""
+"""Test helpers: numeric gradient checking, campaign progress hooks and
+a non-reference kernel backend."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import NumpyBackend
 from repro.telemetry import Telemetry
 from repro.tensor import Tensor
+
+
+class ForeignBackend(NumpyBackend):
+    """Reference numerics under a non-reference identity.
+
+    Numerically identical to numpy, so real classification works, but
+    ``is_reference=False`` folds its attestation into plan fingerprints,
+    campaign configs and shard stamps, and sends the plan engine down
+    the forced-dense, per-variant path: no ``conv2d`` or ``linear`` op
+    is ever stacked under it.
+    """
+
+    name = "foreign"
+    is_reference = False
+    OP_INVARIANCE = {
+        **NumpyBackend.OP_INVARIANCE,
+        "conv2d": "never",
+        "linear": "never",
+        "gemm": "never",
+    }
 
 
 def progress_telemetry(callback) -> Telemetry:

@@ -1,11 +1,12 @@
-"""The kernel-backend layer: registry, resolution, attestation, parity.
+"""The kernel-backend layer: resolution, attestation, parity.
 
-Covers the ``repro.backends`` contract end to end: name resolution
-(explicit arg > ``REPRO_BACKEND`` > reference), graceful degradation
-when a backend's library is missing, per-kernel agreement between the
-reference backend and :mod:`repro.nn.functional`, backend-qualified
-plan fingerprints, and the engine-level restrictions (module and
-vectorized engines are reference-only).
+Covers the ``repro.backends`` contract end to end: resolution (the given
+:class:`Backend` instance, else the shared numpy reference), per-kernel
+agreement between the reference backend and :mod:`repro.nn.functional`,
+backend-qualified plan fingerprints, the non-reference plan engine's
+forced-dense path (through the test-local :class:`ForeignBackend`), and
+the engine-level restrictions (module and vectorized engines are
+reference-only).
 """
 
 from __future__ import annotations
@@ -15,52 +16,32 @@ import pytest
 
 import repro.nn.functional as F
 from repro.backends import (
-    BACKEND_ENV,
     BACKEND_OP_KINDS,
     BACKEND_PRIMITIVES,
+    REFERENCE_BACKEND,
     Backend,
-    BackendUnavailableError,
     NumpyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
     resolve_backend,
 )
-from repro.models import ResNetCIFAR
+from repro.faults import Fault, FaultModel
 from repro.nn import Conv2d, Linear
-from repro.runtime import capture_plan, create_engine
+from repro.runtime import PlanEngine, capture_plan, create_engine
+from tests.helpers import ForeignBackend
 
 
 class TestRegistry:
+    """The shared reference instance and the trait-declaration contract."""
+
     def test_numpy_backend_registered_and_reference(self):
-        backend = get_backend("numpy")
+        backend = resolve_backend(None)
+        assert isinstance(backend, NumpyBackend)
         assert backend.name == "numpy"
         assert backend.is_reference
         assert backend.version == np.__version__
 
     def test_instances_are_cached(self):
-        assert get_backend("numpy") is get_backend("numpy")
-
-    def test_unknown_backend_lists_registered_names(self):
-        with pytest.raises(BackendUnavailableError, match="numpy"):
-            get_backend("no_such_backend")
-
-    def test_available_backends_includes_reference(self):
-        assert "numpy" in available_backends()
-
-    def test_register_backend_round_trip(self):
-        class Probe(NumpyBackend):
-            name = "probe"
-            is_reference = False
-
-        register_backend("probe", Probe)
-        try:
-            assert get_backend("probe").name == "probe"
-        finally:
-            from repro.backends import _INSTANCES, _REGISTRY
-
-            _REGISTRY.pop("probe", None)
-            _INSTANCES.pop("probe", None)
+        assert resolve_backend(None) is REFERENCE_BACKEND
+        assert resolve_backend() is resolve_backend(None)
 
     def test_backend_must_declare_every_op_kind(self):
         class Partial(Backend):
@@ -73,67 +54,34 @@ class TestRegistry:
 
 
 class TestResolution:
-    def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_default_is_reference(self):
         assert resolve_backend(None).name == "numpy"
-
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "array_api")
-        assert resolve_backend(None).name == "array_api"
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "array_api")
-        assert resolve_backend("numpy").name == "numpy"
 
     def test_instance_passes_through(self):
-        backend = get_backend("numpy")
+        backend = ForeignBackend()
         assert resolve_backend(backend) is backend
 
-    def test_blank_env_falls_back_to_reference(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "  ")
-        assert resolve_backend(None).name == "numpy"
+    def test_backend_names_are_refused(self, tiny_model):
+        with pytest.raises(TypeError, match="Backend instance"):
+            resolve_backend("numpy")
+        with pytest.raises(TypeError, match="Backend instance"):
+            capture_plan(tiny_model, backend="numpy")
 
 
 class TestAttestation:
     def test_attestation_covers_every_kind_and_primitive(self):
-        attestation = get_backend("numpy").attestation()
+        attestation = REFERENCE_BACKEND.attestation()
         declared = set(attestation["ops"])
         assert declared == set(BACKEND_OP_KINDS) | set(BACKEND_PRIMITIVES)
 
     def test_attestation_is_deterministic(self):
-        backend = get_backend("numpy")
+        backend = REFERENCE_BACKEND
         assert backend.attestation() == backend.attestation()
 
     def test_attestation_carries_name_and_version(self):
-        attestation = get_backend("numpy").attestation()
+        attestation = REFERENCE_BACKEND.attestation()
         assert attestation["name"] == "numpy"
         assert attestation["version"] == np.__version__
-
-
-class TestGracefulDegradation:
-    def test_unavailable_backend_is_filtered_not_fatal(self):
-        class Broken(Backend):
-            name = "broken"
-            OP_TOLERANCE = dict.fromkeys(
-                (*BACKEND_OP_KINDS, *BACKEND_PRIMITIVES), "bitexact"
-            )
-            OP_INVARIANCE = dict.fromkeys(
-                (*BACKEND_OP_KINDS, *BACKEND_PRIMITIVES), "always"
-            )
-
-            def __init__(self):
-                raise BackendUnavailableError("library not installed")
-
-        register_backend("broken", Broken)
-        try:
-            assert "broken" not in available_backends()
-            with pytest.raises(BackendUnavailableError):
-                get_backend("broken")
-        finally:
-            from repro.backends import _INSTANCES, _REGISTRY
-
-            _REGISTRY.pop("broken", None)
-            _INSTANCES.pop("broken", None)
 
 
 class TestReferenceKernels:
@@ -142,8 +90,7 @@ class TestReferenceKernels:
     def test_conv2d_matches_functional(self, rng):
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
         conv = Conv2d(3, 5, 3, stride=1, padding=1, bias=True, rng=rng)
-        backend = get_backend("numpy")
-        out = backend.conv2d(
+        out = REFERENCE_BACKEND.conv2d(
             x, conv.weight.data, conv.bias.data, stride=1, padding=1
         )
         expected = F.conv2d(
@@ -154,14 +101,13 @@ class TestReferenceKernels:
     def test_linear_matches_functional(self, rng):
         x = rng.standard_normal((4, 7)).astype(np.float32)
         layer = Linear(7, 3, rng=rng)
-        backend = get_backend("numpy")
-        out = backend.linear(x, layer.weight.data, layer.bias.data)
+        out = REFERENCE_BACKEND.linear(x, layer.weight.data, layer.bias.data)
         expected = F.linear(x, layer.weight.data, layer.bias.data)
         np.testing.assert_array_equal(out, expected)
 
     def test_relu_and_pad_match_functional(self, rng):
         x = rng.standard_normal((2, 4, 5, 5)).astype(np.float32)
-        backend = get_backend("numpy")
+        backend = REFERENCE_BACKEND
         np.testing.assert_array_equal(backend.relu(x), F.relu(x))
         np.testing.assert_array_equal(
             backend.pad_channels(x, 2, 3), F.pad_channels(x, 2, 3)
@@ -171,11 +117,7 @@ class TestReferenceKernels:
 class TestPlanBackendWiring:
     def test_bare_plan_defaults_to_reference(self, tiny_model):
         plan = capture_plan(tiny_model)
-        assert plan.backend.is_reference
-
-    def test_capture_plan_resolves_backend_name(self, tiny_model):
-        plan = capture_plan(tiny_model, backend="numpy")
-        assert plan.backend is get_backend("numpy")
+        assert plan.backend is REFERENCE_BACKEND
 
     def test_fingerprint_unqualified_on_reference(self, tiny_model):
         from repro.check import plan_fingerprint
@@ -187,53 +129,68 @@ class TestPlanBackendWiring:
     def test_fingerprint_qualified_on_non_reference(self, tiny_model):
         from repro.check import plan_fingerprint
 
-        class Shifted(NumpyBackend):
-            name = "shifted"
-            is_reference = False
-
         plan = capture_plan(tiny_model)
         reference = plan_fingerprint(plan)
-        qualified = plan_fingerprint(plan, backend=Shifted())
+        qualified = plan_fingerprint(plan, backend=ForeignBackend())
         assert qualified != reference
 
 
-@pytest.mark.skipif(
-    "array_api" not in available_backends(),
-    reason="no Array-API-compatible library importable here",
-)
-class TestArrayApiParity:
-    def test_plan_outputs_within_tolerance(self, tiny_model, tiny_eval_set):
-        images, _labels = tiny_eval_set
-        x = images[:4]
-        reference = capture_plan(tiny_model)
-        alternate = capture_plan(tiny_model, backend="array_api")
-        ref_out = reference.execute_all(x)[reference.output_slot]
-        alt_out = alternate.execute_all(x)[alternate.output_slot]
-        np.testing.assert_allclose(alt_out, ref_out, rtol=1e-5, atol=1e-6)
+@pytest.fixture(scope="module")
+def foreign_engines(tiny_model, tiny_eval_set):
+    images, labels = tiny_eval_set
+    return (
+        PlanEngine(tiny_model, images, labels, batch_size=8),
+        create_engine(
+            tiny_model,
+            images,
+            labels,
+            kind="plan",
+            batch_size=8,
+            backend=ForeignBackend(),
+        ),
+    )
 
-    def test_plan_engine_accepts_array_api(self, tiny_model, tiny_eval_set):
-        images, labels = tiny_eval_set
-        engine = create_engine(
-            tiny_model, images, labels, kind="plan", backend="array_api"
-        )
-        assert engine.backend.name == "array_api"
-        # The array_api backend claims "never" for matmul-backed kernels,
-        # so no conv/linear op is ever stacked under it.
+
+class TestForeignBackendParity:
+    """A non-reference plan engine takes the forced-dense, per-variant
+    path; on reference numerics it must classify exactly as the
+    reference engine does."""
+
+    def test_no_conv_or_linear_op_is_stackable(self, foreign_engines):
+        _reference, foreign = foreign_engines
+        assert foreign.backend.name == "foreign"
         assert not any(
             stackable
-            for op, stackable in zip(engine.plan.ops, engine._stackable)
+            for op, stackable in zip(foreign.plan.ops, foreign._stackable)
             if op.kind in ("conv2d", "linear")
+        )
+
+    def test_plan_engine_classifies_like_reference(self, foreign_engines):
+        reference, foreign = foreign_engines
+        rng = np.random.default_rng(11)
+        # Every layer, both stuck-at models and the bit flip, one mantissa
+        # bit and three exponent bits (30 drives weights to inf/NaN scale).
+        sample = [
+            Fault(
+                layer=layer,
+                index=int(rng.integers(reference.layers[layer].size)),
+                bit=bit,
+                model=model,
+            )
+            for layer in range(len(reference.layers))
+            for bit in (10, 23, 27, 30)
+            for model in FaultModel
+        ]
+        np.testing.assert_array_equal(
+            foreign.predictions_for_faults(sample),
+            reference.predictions_for_faults(sample),
+        )
+        assert foreign.classify_many(sample) == reference.classify_many(
+            sample
         )
 
 
 class TestEngineRestrictions:
-    def _non_reference(self):
-        class Shifted(NumpyBackend):
-            name = "shifted"
-            is_reference = False
-
-        return Shifted()
-
     def test_module_engine_refuses_non_reference(
         self, tiny_model, tiny_eval_set
     ):
@@ -244,7 +201,7 @@ class TestEngineRestrictions:
                 images,
                 labels,
                 kind="module",
-                backend=self._non_reference(),
+                backend=ForeignBackend(),
             )
 
     def test_vectorized_engine_refuses_non_reference(
@@ -257,7 +214,7 @@ class TestEngineRestrictions:
                 images,
                 labels,
                 kind="plan_vectorized",
-                backend=self._non_reference(),
+                backend=ForeignBackend(),
             )
 
     def test_plan_engine_reference_backend_unchanged(
@@ -286,23 +243,10 @@ class TestCampaignConfigBackend:
         from repro.faults import FaultSpace
         from repro.faults.table import campaign_config
 
-        class Shifted(NumpyBackend):
-            name = "shifted"
-            is_reference = False
-
         images, labels = tiny_eval_set
         engine = create_engine(
-            tiny_model, images, labels, kind="plan", backend=Shifted()
+            tiny_model, images, labels, kind="plan", backend=ForeignBackend()
         )
         config = campaign_config(engine, FaultSpace(engine.layers))
-        assert config["backend"]["name"] == "shifted"
+        assert config["backend"]["name"] == "foreign"
         assert "ops" in config["backend"]
-
-
-def test_exhaustive_table_path_backend_suffix():
-    from repro.sfi.artifacts import exhaustive_table_path
-
-    reference = exhaustive_table_path("resnet8_mini")
-    alternate = exhaustive_table_path("resnet8_mini", backend="array_api")
-    assert reference != alternate
-    assert "_via_array_api" in alternate.name

@@ -114,6 +114,11 @@ class TestFit:
         assert back.to_dict() == model.to_dict()
         assert back.layer_seconds_per_fault == model.layer_seconds_per_fault
         assert back.engine_rates["plan"] == model.engine_rates["plan"]
+        # Records saved by earlier releases stamp a backend on each rate.
+        legacy = model.to_dict()
+        legacy["engine_rates"]["plan"]["backend"] = "numpy"
+        back = CostModel.from_dict(legacy)
+        assert back.to_dict() == model.to_dict()
 
 
 class TestBench:

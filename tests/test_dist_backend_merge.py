@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import NumpyBackend
 from repro.check import declare_fingerprints_compatible
 from repro.data import SynthCIFAR
 from repro.dist import (
@@ -29,18 +28,7 @@ from repro.faults.table import cell_key
 from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR
 from repro.runtime import PlanEngine
-
-
-class _ShiftedBackend(NumpyBackend):
-    """Reference numerics under a non-reference identity.
-
-    Numerically identical to numpy (so real classification works), but
-    ``is_reference=False`` means its attestation joins the plan
-    fingerprint — the merge sees a genuinely foreign identity.
-    """
-
-    name = "shifted"
-    is_reference = False
+from tests.helpers import ForeignBackend
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +42,7 @@ def backend_setup():
         data.images,
         data.labels,
         fmt=FLOAT16,
-        backend=_ShiftedBackend(),
+        backend=ForeignBackend(),
     )
     space = FaultSpace(reference.layers, fmt=FLOAT16)
     return reference, shifted, space
@@ -87,7 +75,7 @@ class TestBackendIdentity:
         reference, shifted, space = backend_setup
         stamp = ExhaustiveContext(shifted, space).attestation()
         assert stamp["backend"] == {
-            "name": "shifted",
+            "name": "foreign",
             "version": np.__version__,
         }
         assert stamp["plan_verified"] is True

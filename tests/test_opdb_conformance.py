@@ -19,8 +19,8 @@ import numpy as np
 from repro.backends import (
     BACKEND_OP_KINDS,
     BACKEND_PRIMITIVES,
+    REFERENCE_BACKEND,
     NumpyBackend,
-    get_backend,
 )
 from repro.check import KERNEL_TABLE, run_op_conformance
 from repro.check.opdb import OP_SAMPLES, opdb_kinds, samples_for
@@ -32,8 +32,7 @@ class TestRegistryCompleteness:
         assert OP_KINDS <= set(KERNEL_TABLE)
 
     def test_every_plan_kind_has_a_backend_dispatch_entry(self):
-        backend = get_backend("numpy")
-        assert OP_KINDS <= backend.op_kinds()
+        assert OP_KINDS <= REFERENCE_BACKEND.op_kinds()
 
     def test_every_plan_kind_has_an_opdb_sample(self):
         assert OP_KINDS <= opdb_kinds()
@@ -61,19 +60,20 @@ class TestRegistryCompleteness:
 
 class TestConformancePasses:
     def test_reference_backend_is_clean(self):
-        results = run_op_conformance(backends=["numpy"])
+        results = run_op_conformance(backends=[REFERENCE_BACKEND])
         bad = [r for r in results if not r.ok]
         assert not bad, [r.to_dict() for r in bad]
 
     def test_every_kind_is_exercised(self):
-        results = run_op_conformance(backends=["numpy"])
+        results = run_op_conformance(backends=[REFERENCE_BACKEND])
         exercised = {r.kind for r in results}
         assert OP_KINDS <= exercised
         assert set(BACKEND_PRIMITIVES) <= exercised
 
     def test_results_are_deterministic(self):
-        first = [r.to_dict() for r in run_op_conformance(backends=["numpy"])]
-        second = [r.to_dict() for r in run_op_conformance(backends=["numpy"])]
+        backends = [REFERENCE_BACKEND]
+        first = [r.to_dict() for r in run_op_conformance(backends=backends)]
+        second = [r.to_dict() for r in run_op_conformance(backends=backends)]
         assert first == second
 
 

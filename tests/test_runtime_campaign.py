@@ -167,10 +167,24 @@ class TestDistRefusal:
         with pytest.raises(DistError, match="fingerprint mismatch"):
             verify_context_config(context, config)
 
-    def test_worker_refuses_fused_against_unfused(self, tmp_path, capsys):
-        """Queues whose runtime records ``"fuse": true`` (fused numerics
-        from an earlier release) are refused by name, before any engine
-        is built: by every ``work`` path and by the sampled merge."""
+    @pytest.mark.parametrize(
+        ("leftover", "named"),
+        [
+            ({"fuse": True}, ("fused numerics", "no longer computes")),
+            (
+                {"backend": "array_api"},
+                ("'array_api' kernel backend", "no longer provides"),
+            ),
+        ],
+        ids=["fuse", "backend"],
+    )
+    def test_worker_refuses_fused_against_unfused(
+        self, tmp_path, capsys, leftover, named
+    ):
+        """Queues whose runtime records numerics from an earlier release
+        (``"fuse": true``, or a ``"backend"`` this release no longer
+        provides) are refused by name, before any engine is built: by
+        every ``work`` path and by the sampled merge."""
         from repro.cli.dist import main
         from repro.dist import ShardQueue
 
@@ -179,7 +193,7 @@ class TestDistRefusal:
             "eval_size": 4,
             "policy": "accuracy_drop",
             "engine": "plan",
-            "fuse": True,
+            **leftover,
         }
         for kind in ("exhaustive", "sampled"):
             root = tmp_path / kind
@@ -190,8 +204,8 @@ class TestDistRefusal:
             for argv in commands:
                 assert main(argv) == 2
                 err = capsys.readouterr().err
-                assert "fused numerics" in err
-                assert "no longer computes" in err
+                for text in (*named, "fresh queue"):
+                    assert text in err
 
     def test_matching_plan_config_is_accepted(self, campaign_setup):
         _, plan_engine, space = campaign_setup

@@ -182,9 +182,9 @@ class TestConformance:
         report = run_conformance(model, eval_size=8, faults=48, seed=1)
         assert report.ok
         assert report.bit_exact_attested
-        assert report.tolerance == 0.0
         assert report.prediction_flips == 0
         assert report.outcome_flips == 0
+        assert report.module_prediction_flips == 0
         assert report.faults == 48
         payload = report.to_dict()
         assert payload["model"] == "ResNetCIFAR"
@@ -218,7 +218,6 @@ class TestCliWiring:
         args = build_parser().parse_args(["conform"])
         assert args.model is None
         assert args.faults == 128
-        assert args.tolerance == 0.0
         args = build_parser().parse_args(
             ["conform", "--model", "resnet14_mini", "--model",
              "mobilenetv2_mini", "--faults", "64"]
