@@ -10,7 +10,8 @@ writes ``BENCH_engine.json`` so CI can track faults/sec across commits:
                         time,
 - ``plan``            — op-granular prefix caching, one fault at a time,
 - ``plan_batched``    — op-granular caching plus K same-layer faults per
-                        stacked tail pass,
+                        tail pass: one seeding GEMM, then the exact
+                        dense tail once per variant,
 - ``plan_vectorized`` — certified variant-axis stacking: no-flip
                         certification retires most rows, survivors run
                         cache-blocked stacked kernels.

@@ -72,8 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="plan engine only: same-layer faults evaluated per stacked "
-        "tail pass (default: 16)",
+        help="plan engines only: same-layer faults evaluated per tail "
+        "pass, their corrupted channels seeded by one GEMM (default: 16; "
+        "plan_vectorized: 256)",
     )
     parser.add_argument(
         "--live",

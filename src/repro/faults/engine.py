@@ -186,8 +186,8 @@ class FaultInjectionEngine:
         """Faulty top-1 predictions for a batch of faults: ``(K, N)``.
 
         The base implementation runs one prefix-cached inference per
-        fault; batching engines override it to evaluate same-layer
-        faults per stacked tail pass.
+        fault; the plan engines override it to evaluate same-layer
+        faults per tail pass, seeding all K from one GEMM.
         """
         return np.stack([self.predictions_with_fault(f) for f in faults])
 

@@ -40,9 +40,9 @@ def _classify_cell(
     Masked faults are detected vectorised (no inference); every other
     fault goes through :meth:`~repro.faults.FaultInjectionEngine.
     predictions_for_faults` in ``engine.batch_size`` chunks — the plan
-    engine evaluates each chunk in one stacked tail pass, the module
-    engine (batch size one) runs the classic one-inference-per-fault
-    loop.  Cells are the campaign's unit of parallelism and
+    engines evaluate each chunk in one tail pass (one seeding GEMM, then
+    the tail per variant), the module engine (batch size one) runs the
+    classic one-inference-per-fault loop.  Cells are the campaign's unit of parallelism and
     checkpointing: independent, deterministic, and a few hundred per
     model.
     """

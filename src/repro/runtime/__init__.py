@@ -3,8 +3,12 @@
 ``repro.runtime`` lowers a model's ``forward_fast`` into a flat,
 forward-only :class:`ExecutionPlan` of primitive ops over explicit
 buffer slots (:func:`capture_plan`), and classifies weight faults over
-it with :class:`PlanEngine` — op-granular prefix caching plus batched
-same-layer fault evaluation, bit-identical to the module engine.
+it with :class:`PlanEngine` — op-granular prefix caching, one seeding
+path (a row GEMM plus single-channel replay, or the full faulty op) and
+one exact dense tail, bit-identical to the module engine.
+:class:`VectorizedPlanEngine` runs on the same seeding path and dense
+tail, and adds no-flip certification and a stacked walk over the rows
+certification cannot retire.
 """
 
 from repro.runtime.engine import (
@@ -20,14 +24,12 @@ from repro.runtime.plan import (
     capture_plan,
 )
 from repro.runtime.vectorized import (
-    DEFAULT_OP_BUDGET,
     DEFAULT_VEC_BATCH_SIZE,
     VectorizedPlanEngine,
 )
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_OP_BUDGET",
     "DEFAULT_VEC_BATCH_SIZE",
     "ExecutionPlan",
     "OP_KINDS",

@@ -3,42 +3,37 @@
 :class:`PlanEngine` classifies weight faults exactly like
 :class:`repro.faults.InferenceEngine` — same injector, same policies,
 bit-identical outcomes — but executes a captured
-:class:`~repro.runtime.ExecutionPlan` instead of walking the module tree:
+:class:`~repro.runtime.ExecutionPlan` instead of walking the module tree.
+Every fault batch runs one pipeline, which the vectorized engine reuses:
 
 - **Op-granular prefix caching.**  The golden pass keeps every op's
   output.  A fault in layer *l* re-executes only *l*'s op and the ops
   transitively downstream of it (``plan.affected_ops``); every other op
   is served from the cache.  The module engine's stage-granular cache
   re-runs a whole residual block even when only its second conv is hit.
-- **Channel-sparse fault evaluation.**  A weight fault in a conv or
-  linear layer perturbs exactly one output channel (GEMM rows are
-  computed independently, so every other channel of the faulty output is
+- **One seeding path.**  A weight fault in a conv or linear layer
+  perturbs exactly one output channel (GEMM rows are computed
+  independently, so every other channel of the faulty output is
   bit-identical to the golden one — asserted by the test suite on this
-  BLAS).  The engine therefore evaluates the fault op as a single-row
-  GEMM against the layer's *cached golden im2col columns*, and carries
-  only that dirty channel through the channel-preserving suffix (bn,
-  relu, pooling, subsample, channel padding, residual adds against
-  golden operands) as a ``(N, K, ...)`` slice.  Full activations are
-  only materialised — golden copy plus one patched channel — at the
-  first channel-*mixing* op (the next conv/linear), where dense
-  execution resumes.  For faults in the last conv block the dense
-  suffix all but vanishes.
-- **Batched fault evaluation.**  K same-layer faults share one tail
-  pass: their K corrupted weight rows stack into a single ``(K, k)``
-  GEMM and the sparse suffix processes all K dirty channels at once.
-  When dense execution resumes, the K variants are stacked along the
-  batch axis while the working set stays cache-sized
-  (:data:`DENSE_STACK_LIMIT`) and chunked per variant beyond that; ops
-  whose kernels are not bit-stable under batch stacking (``linear``'s
-  2-D GEMM, the einsum convolution paths) are always chunked — each
-  chunk call is shaped exactly like the unbatched call, preserving
-  bit-exactness.
+  BLAS).  For these row-separable ops the K same-layer faults' corrupted
+  weight rows share one GEMM against the layer's *cached golden im2col
+  columns*; each dirty channel is then replayed alone through the
+  single-consumer chain of channel-preserving ops after the fault op
+  (bn, relu, relu6, subsample, channel padding) and patched into a
+  golden copy of the chain-end activation.  Grouped and depthwise convs,
+  and every op on a non-reference backend, seed from the full faulty op
+  instead.
+- **One exact dense tail.**  From its seed, each variant runs the
+  remaining affected ops one at a time at the full eval batch, golden
+  activations standing in for operands the fault never reached.  Every
+  call is shaped exactly like ``forward_fast``'s, so no kernel's batch
+  invariance is relied on, and only one variant's seeded activations
+  are alive at a time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,44 +46,15 @@ from repro.runtime.plan import OpSpec, capture_plan
 from repro.telemetry import Telemetry
 from repro.tensor.im2col import conv_output_size
 
-#: Default number of same-layer faults evaluated per stacked tail pass.
+#: Default number of same-layer faults evaluated per tail pass.
 DEFAULT_BATCH_SIZE = 16
 
-#: Byte ceiling for the stacked dense tail: K variants are evaluated on
-#: one stacked batch only while K x (materialised activations) fits in
-#: this budget; beyond it the stacked arrays fall out of cache and the
-#: tail is chunked per variant instead (each chunk bit-identical to the
-#: unbatched pass either way).
-DENSE_STACK_LIMIT = 4 * 1024 * 1024
-
-#: Op kinds that keep a single dirty channel confined to that channel.
-_CHANNEL_PRESERVING = frozenset(
-    {
-        "batchnorm2d",
-        "relu",
-        "relu6",
-        "avg_pool2d",
-        "global_avg_pool2d",
-        "subsample2d",
-    }
+#: Ops that touch each channel independently (or merely renumber
+#: channels): a single dirty channel can be replayed through them in
+#: isolation, bit-identically to the full op.
+_PRESERVE_KINDS = frozenset(
+    {"batchnorm2d", "relu", "relu6", "subsample2d", "pad_channels"}
 )
-
-
-@dataclass(frozen=True)
-class _SparsePrefix:
-    """Static analysis of a fault op's channel-sparse tail prefix.
-
-    ``steps`` holds ``(op, mode, aux)`` triples for the tail ops that
-    preserve the dirty channel; ``dense_start`` is the tail position of
-    the first channel-mixing op (``len(tail)`` when the whole tail is
-    channel-preserving); ``mat_slots`` are the sparse slots that must be
-    materialised — golden copy plus patched channel — for the dense
-    resume, with their accumulated channel shift from ``pad_channels``.
-    """
-
-    steps: tuple
-    dense_start: int
-    mat_slots: tuple[tuple[int, int], ...]  # (slot, channel shift)
 
 
 class PlanEngine(FaultInjectionEngine):
@@ -97,13 +63,13 @@ class PlanEngine(FaultInjectionEngine):
     Parameters mirror :class:`repro.faults.InferenceEngine`, plus:
 
     batch_size:
-        Same-layer faults evaluated per stacked tail pass (>= 1).
+        Same-layer faults per tail pass (>= 1): their corrupted weight
+        rows share one GEMM; the dense tail runs one variant at a time.
     backend:
         Kernel backend instance (None → the numpy reference).
-        Non-reference backends run every op through the generic dense
-        paths (the channel-sparse fast path is stated against reference
-        BLAS row-GEMM identities) and carry a backend-qualified plan
-        fingerprint.
+        Non-reference backends seed every fault from the full faulty op
+        (the row-GEMM seeding is stated against reference BLAS row
+        identities) and carry a backend-qualified plan fingerprint.
     """
 
     kind = "plan"
@@ -158,19 +124,13 @@ class PlanEngine(FaultInjectionEngine):
             (self.golden_predictions == self.labels).mean()
         )
         self._layer_op = self._map_layers_to_ops()
-        # An op's tail pass may stack variants only when both the plan
-        # flag (reference dispatch analysis) and the executing backend's
-        # own attestation say the kernel is batch-invariant.
-        self._stackable = [
-            bool(op.batch_invariant) and self.backend.batch_invariant(op)
-            for op in self.plan.ops
-        ]
         self._free_schedule: dict[int, list[list[int]]] = {}
-        self._sparse_cache: dict[int, _SparsePrefix | None] = {}
+        self._chain_cache: dict[int, list[OpSpec]] = {}
+        self._bn_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Golden im2col columns of the active fault layer (single entry:
         # campaigns sweep faults layer by layer, so one layer is hot).
         self._cols_cache: tuple[int, np.ndarray, int, int] | None = None
-        #: Stacked tail passes executed (each covers up to batch_size faults).
+        #: Tail passes executed (each covers up to batch_size faults).
         self.tail_passes = 0
         #: Tail ops actually recomputed across all passes.
         self.ops_executed = 0
@@ -250,74 +210,20 @@ class PlanEngine(FaultInjectionEngine):
                     rows[pos] = row
         return np.stack(rows)
 
-    # -- channel-sparse analysis -------------------------------------------
+    # -- fault seeding -------------------------------------------------------
 
-    def _sparse_prefix(self, op_index: int) -> _SparsePrefix | None:
-        """Static channel-sparse plan for faults in op *op_index*.
+    def _row_separable(self, op: OpSpec) -> bool:
+        """Whether a fault in *op* can be seeded from one GEMM row.
 
-        ``None`` when the fault op itself is not row-separable (grouped
-        or depthwise convs) — those fall back to dense full-recompute
-        evaluation.  The whole analysis is stated against
-        the reference backend's row-GEMM identities (and the hand-inlined
-        numpy suffix kernels in :meth:`_sparse_batch`), so non-reference
-        backends always take the dense path.
+        True for ``linear`` and ungrouped ``conv2d`` on the reference
+        backend, whose row-GEMM identities the seeding is stated
+        against; grouped/depthwise convs and every op on a non-reference
+        backend run the full faulty op instead.
         """
-        if op_index in self._sparse_cache:
-            return self._sparse_cache[op_index]
-        op = self.plan.ops[op_index]
-        eligible = self.backend.is_reference and (
+        return self.backend.is_reference and (
             op.kind == "linear"
             or (op.kind == "conv2d" and op.module.groups == 1)
         )
-        info = None
-        if eligible:
-            tail = self.plan.affected_ops(op_index)
-            shift = {op.output: 0}  # sparse slot -> channel shift
-            steps = []
-            dense_start = len(tail)
-            for pos, idx in enumerate(tail):
-                t = self.plan.ops[idx]
-                dirty = [s for s in t.inputs if s in shift]
-                if t.kind in _CHANNEL_PRESERVING and len(t.inputs) == 1:
-                    shift[t.output] = shift[t.inputs[0]]
-                    steps.append((t, t.kind, shift[t.output]))
-                elif t.kind == "pad_channels":
-                    shift[t.output] = (
-                        shift[t.inputs[0]] + t.params["before"]
-                    )
-                    steps.append((t, "pad", None))
-                elif t.kind == "add" and len(dirty) == 1:
-                    other = next(s for s in t.inputs if s != dirty[0])
-                    shift[t.output] = shift[dirty[0]]
-                    steps.append(
-                        (
-                            t,
-                            "add",
-                            (
-                                dirty[0],
-                                other,
-                                t.inputs[0] == dirty[0],
-                                shift[dirty[0]],
-                            ),
-                        )
-                    )
-                else:
-                    dense_start = pos
-                    break
-            live: dict[int, int] = {}
-            for idx in tail[dense_start:]:
-                for s in self.plan.ops[idx].inputs:
-                    if s in shift:
-                        live[s] = shift[s]
-            if self.plan.output_slot in shift:
-                live[self.plan.output_slot] = shift[self.plan.output_slot]
-            info = _SparsePrefix(
-                steps=tuple(steps),
-                dense_start=dense_start,
-                mat_slots=tuple(sorted(live.items())),
-            )
-        self._sparse_cache[op_index] = info
-        return info
 
     def _fault_cols(self, op: OpSpec) -> tuple[np.ndarray, int, int]:
         """Golden im2col columns of *op*'s input (single-entry cache).
@@ -383,6 +289,66 @@ class PlanEngine(FaultInjectionEngine):
             out = out + bias[chans].reshape(1, k, 1, 1)
         return chans, out
 
+    def _preserve_chain(self, op_index: int) -> list[OpSpec]:
+        """Longest single-consumer channel-preserving chain after an op.
+
+        While the fault's effect stays confined to one channel, bn /
+        relu / subsample / pad can be replayed on that channel alone —
+        bitwise equal to the full op at a fraction of the cost — before
+        the first channel-mixing op forces dense execution.
+        """
+        chain = self._chain_cache.get(op_index)
+        if chain is None:
+            chain = []
+            slot = self.plan.ops[op_index].output
+            while True:
+                cons = self.plan.consumers(slot)
+                if len(cons) != 1:
+                    break
+                t = cons[0]
+                if t.kind not in _PRESERVE_KINDS or len(t.inputs) != 1:
+                    break
+                chain.append(t)
+                slot = t.output
+            self._chain_cache[op_index] = chain
+        return chain
+
+    def _apply_channel(
+        self, t: OpSpec, val: np.ndarray, c: int
+    ) -> tuple[np.ndarray, int]:
+        """Run channel-preserving op *t* on one channel's values.
+
+        The kernels are elementwise per channel (bn affine, relu
+        clamps) or pure reindexing (subsample, pad), so the slice comes
+        out bit-identical to slicing the full op's output.
+        """
+        if t.kind == "batchnorm2d":
+            cached = self._bn_cache.get(t.index)
+            if cached is None:
+                m = t.module
+                scale = (
+                    m.weight.data / np.sqrt(m.running_var + m.eps)
+                ).astype(np.float32)
+                shift = (m.bias.data - m.running_mean * scale).astype(
+                    np.float32
+                )
+                cached = self._bn_cache[t.index] = (scale, shift)
+            scale, shift = cached
+            return val * scale[c] + shift[c], c
+        if t.kind == "relu":
+            return np.maximum(val, 0.0), c
+        if t.kind == "relu6":
+            return np.clip(val, 0.0, 6.0), c
+        if t.kind == "subsample2d":
+            stride = t.params["stride"]
+            return val[:, ::stride, ::stride], c
+        return val, c + t.params["before"]  # pad_channels renumbers
+
+    def _faulty_output(self, op: OpSpec, fault: Fault) -> np.ndarray:
+        """*fault*'s op output on golden inputs: the full faulty op."""
+        with self.injector.inject(fault):
+            return self.plan.run_op(op, [self._golden[s] for s in op.inputs])
+
     # -- fault-batch execution ---------------------------------------------
 
     def _run_batch(self, layer_idx: int, faults: Sequence[Fault]) -> np.ndarray:
@@ -391,14 +357,27 @@ class PlanEngine(FaultInjectionEngine):
         op = self.plan.ops[op_index]
         k = len(faults)
         tail = self.plan.affected_ops(op_index)
+        preds = np.empty((k, len(self.images)), dtype=np.intp)
         # Corrupted weights legitimately overflow to inf/NaN; only the
-        # argmax below matters, so silence the warnings wholesale.
+        # argmax matters, so silence the warnings wholesale.
         with np.errstate(all="ignore"):
-            info = self._sparse_prefix(op_index)
-            if info is not None:
-                preds = self._sparse_batch(op_index, op, tail, faults, info)
+            if self._row_separable(op):
+                chans, rows = self._variant_rows(op, faults)
+                chain = self._preserve_chain(op_index) if rows.ndim > 2 else []
+                end = chain[-1] if chain else op
+                for v in range(k):
+                    val, c = rows[:, v], int(chans[v])
+                    for t in chain:
+                        val, c = self._apply_channel(t, val, c)
+                    # Every other channel of the true faulty activation
+                    # is bit-equal to golden: copy-and-patch is exact.
+                    seed = self._golden[end.output].copy()
+                    seed[:, c] = val
+                    preds[v] = self._dense_tail(end.index, seed)
             else:
-                preds = self._dense_fallback(op_index, op, tail, faults)
+                for v, fault in enumerate(faults):
+                    seed = self._faulty_output(op, fault)
+                    preds[v] = self._dense_tail(op_index, seed)
         self.tail_passes += 1
         self.ops_executed += len(tail)
         self.ops_cached += len(self.plan.ops) - 1 - len(tail)
@@ -407,225 +386,25 @@ class PlanEngine(FaultInjectionEngine):
             self.telemetry.counter("engine.inferences").add(k)
         return preds
 
-    def _sparse_batch(
-        self,
-        op_index: int,
-        op: OpSpec,
-        tail: tuple[int, ...],
-        faults: Sequence[Fault],
-        info: _SparsePrefix,
-    ) -> np.ndarray:
-        k = len(faults)
-        n = len(self.images)
-        chans, rows = self._variant_rows(op, faults)
-        senv = {op.output: rows}
-        for t, mode, aux in info.steps:
-            if mode == "pad":
-                # Zero padding adds *other* channels; the dirty channel's
-                # values pass through (its index shift is static).
-                senv[t.output] = senv[t.inputs[0]]
-            elif mode == "batchnorm2d":
-                m = t.module
-                # Full-vector scale/shift exactly as F.batchnorm2d, then
-                # gather the K dirty channels: same per-element fma.
-                scale = (
-                    m.weight.data / np.sqrt(m.running_var + m.eps)
-                ).astype(np.float32)
-                offset = (m.bias.data - m.running_mean * scale).astype(
-                    np.float32
-                )
-                ch = chans + aux
-                x = senv[t.inputs[0]]
-                senv[t.output] = x * scale[ch].reshape(
-                    1, k, 1, 1
-                ) + offset[ch].reshape(1, k, 1, 1)
-            elif mode == "relu":
-                senv[t.output] = np.maximum(senv[t.inputs[0]], 0.0)
-            elif mode == "relu6":
-                senv[t.output] = np.clip(senv[t.inputs[0]], 0.0, 6.0)
-            elif mode == "avg_pool2d":
-                x = senv[t.inputs[0]]
-                kk = t.module.kernel
-                _, _, h, w = x.shape
-                view = x.reshape(n, k, h // kk, kk, w // kk, kk)
-                senv[t.output] = view.mean(axis=(3, 5), dtype=np.float32)
-            elif mode == "global_avg_pool2d":
-                senv[t.output] = senv[t.inputs[0]].mean(
-                    axis=(2, 3), dtype=np.float32
-                )
-            elif mode == "subsample2d":
-                s = t.params["stride"]
-                senv[t.output] = senv[t.inputs[0]][:, :, ::s, ::s]
-            else:  # add against a golden operand (order preserved: NaNs)
-                dirty_slot, other_slot, dirty_first, shift = aux
-                x = senv[dirty_slot]
-                g = self._golden[other_slot][:, chans + shift]
-                senv[t.output] = x + g if dirty_first else g + x
-        mats = [
-            {
-                slot: self._materialize(slot, shift, chans[v], senv, v)
-                for slot, shift in info.mat_slots
-            }
-            for v in range(k)
-        ]
-        del senv
-        if info.dense_start >= len(tail):
-            logits = [m[self.plan.output_slot] for m in mats]
-            return np.stack([lg.argmax(axis=1) for lg in logits])
-        mat_bytes = sum(a.nbytes for a in mats[0].values())
-        return self._stacked_tails(
-            op_index, tail, info.dense_start, mats, mat_bytes,
-            slots=[slot for slot, _ in info.mat_slots],
-        )
+    def _dense_tail(self, op_index: int, seed: np.ndarray) -> np.ndarray:
+        """Run op *op_index*'s tail from its seeded output -> (N,) preds.
 
-    def _stacked_tails(
-        self,
-        op_index: int,
-        tail: tuple[int, ...],
-        start: int,
-        mats: list[dict[int, np.ndarray]],
-        mat_bytes: int,
-        slots: list[int],
-    ) -> np.ndarray:
-        """Dense tails over K variant envs, stacked in cache-sized groups.
-
-        Stacking is bit-identical at any group size (non-invariant
-        kernels are chunked per variant inside the tail either way), so
-        the group size is purely a throughput knob: all K variants stack
-        while the seeded activations fit :data:`DENSE_STACK_LIMIT`,
-        otherwise every variant runs alone — measured faster than
-        partial stacking, whose K-times-larger per-op arrays fall out of
-        cache without amortising enough dispatch overhead to pay for it.
+        Each tail op runs once at the full eval batch, golden arrays
+        standing in for the operands the fault never reached, so every
+        call is shaped exactly like ``forward_fast``'s.
         """
-        k = len(mats)
-        chunk = k if k * mat_bytes <= DENSE_STACK_LIMIT else 1
-        preds = []
-        for s in range(0, k, chunk):
-            group = mats[s : s + chunk]
-            if len(group) == 1:
-                preds.append(
-                    self._dense_tail(op_index, tail, start, group[0], 1)
-                )
-            else:
-                env = {
-                    slot: np.concatenate([m[slot] for m in group], axis=0)
-                    for slot in slots
-                }
-                preds.append(
-                    self._dense_tail(op_index, tail, start, env, len(group))
-                )
-        return np.concatenate(preds, axis=0)
-
-    def _materialize(
-        self, slot: int, shift: int, chan: int, senv: dict, v: int
-    ) -> np.ndarray:
-        """Golden copy of *slot* with variant *v*'s dirty channel patched.
-
-        Every other channel of the true faulty activation is bit-equal
-        to golden (channel-preserving ops never mix channels), so the
-        copy-and-patch reproduces the dense result exactly.
-        """
-        full = self._golden[slot].copy()
-        full[:, chan + shift] = senv[slot][:, v]
-        return full
-
-    def _dense_fallback(
-        self,
-        op_index: int,
-        op: OpSpec,
-        tail: tuple[int, ...],
-        faults: Sequence[Fault],
-    ) -> np.ndarray:
-        """Full-recompute fault op (grouped/depthwise) + dense tail."""
-        k = len(faults)
-        golden_inputs = [self._golden[s] for s in op.inputs]
-        variants = []
-        for fault in faults:
-            with self.injector.inject(fault):
-                variants.append(self.plan.run_op(op, golden_inputs))
-        return self._stacked_tails(
-            op_index,
-            tail,
-            0,
-            [{op.output: var} for var in variants],
-            variants[0].nbytes,
-            slots=[op.output],
-        )
-
-    def _dense_tail(
-        self,
-        op_index: int,
-        tail: tuple[int, ...],
-        start: int,
-        env: dict[int, np.ndarray],
-        k: int,
-    ) -> np.ndarray:
-        """Run tail ops from *start* on seeded dirty slots -> (k, N) preds.
-
-        ``k == 1`` replays the plain per-variant pass; ``k > 1`` runs the
-        K variants stacked along the batch axis, chunking per variant
-        for kernels that are not bit-stable under batch stacking.
-        """
-        n = len(self.images)
+        env = {self.plan.ops[op_index].output: seed}
         free_after = self._tail_free_schedule(op_index)
-        if k == 1:
-            for pos in range(start, len(tail)):
-                top = self.plan.ops[tail[pos]]
-                inputs = [
-                    env[s] if s in env else self._golden[s]
-                    for s in top.inputs
-                ]
-                env[top.output] = self.plan.run_op(top, inputs)
-                del inputs
-                for slot in free_after[pos]:
-                    env.pop(slot, None)
-            logits = env[self.plan.output_slot]
-            return logits.argmax(axis=1)[None, :]
-        for pos in range(start, len(tail)):
-            top = self.plan.ops[tail[pos]]
-            if not self._stackable[top.index]:
-                # Not bit-stable under batch stacking: run once per
-                # variant so every call is shaped exactly like the
-                # unbatched one.
-                chunks = []
-                for v in range(k):
-                    inputs = [
-                        env[s][v * n : (v + 1) * n]
-                        if s in env
-                        else self._golden[s]
-                        for s in top.inputs
-                    ]
-                    chunks.append(self.plan.run_op(top, inputs))
-                env[top.output] = np.concatenate(chunks, axis=0)
-            elif top.kind == "add" and any(
-                s not in env for s in top.inputs
-            ):
-                # One operand is still golden.  Tiling it K times just
-                # to add would copy a full activation set; broadcasting
-                # over a (k, n, ...) view adds the exact same element
-                # pairs in the same order, so the result is bitwise
-                # identical without the copy.  Operand order preserved.
-                a_slot, b_slot = top.inputs
-                if a_slot in env:
-                    a = env[a_slot]
-                    out = (
-                        a.reshape(k, n, *a.shape[1:])
-                        + self._golden[b_slot][None]
-                    )
-                else:
-                    b = env[b_slot]
-                    out = self._golden[a_slot][None] + b.reshape(
-                        k, n, *b.shape[1:]
-                    )
-                env[top.output] = out.reshape(k * n, *out.shape[2:])
-            else:
-                inputs = [env[s] for s in top.inputs]
-                env[top.output] = self.plan.run_op(top, inputs)
-                del inputs
+        for pos, t_index in enumerate(self.plan.affected_ops(op_index)):
+            t = self.plan.ops[t_index]
+            inputs = [
+                env[s] if s in env else self._golden[s] for s in t.inputs
+            ]
+            env[t.output] = self.plan.run_op(t, inputs)
+            del inputs
             for slot in free_after[pos]:
                 env.pop(slot, None)
-        logits = env[self.plan.output_slot]
-        return logits.reshape(k, n, -1).argmax(axis=2)
+        return env[self.plan.output_slot].argmax(axis=1)
 
 
 def create_engine(

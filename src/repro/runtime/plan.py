@@ -9,8 +9,9 @@ engine can
 - cache every intermediate activation once (op-granular prefix caching:
   a fault in layer *l* re-executes only the ops that transitively depend
   on *l*'s output, not a whole coarse stage), and
-- evaluate K same-layer faults per tail pass by stacking the K faulty
-  activation sets along the batch axis.
+- evaluate K same-layer faults per tail pass: one GEMM computes their
+  corrupted output channels, then each variant replays the affected
+  ops at the full eval batch.
 
 The contract that makes this safe is **bit-exactness**: a plan replays
 the *same* numpy calls, with the same arguments and operand order, as
@@ -19,15 +20,17 @@ the module engine's.
 
 Batch invariance
 ----------------
-Stacking K activation variants along the batch axis is only bit-exact
-for kernels whose per-sample arithmetic is independent of the batch
-extent.  Elementwise ops, pooling reductions and the 3-D ``matmul``
-convolution paths qualify; the 2-D GEMM behind :func:`F.linear` and the
-``einsum`` depthwise/grouped convolution paths do **not** (BLAS blocking
-changes with the batch dimension).  Each :class:`OpSpec` records this as
-``batch_invariant``; the engine runs non-invariant tail ops once per
-variant chunk — every chunk call is then shaped exactly like the
-unbatched call, so bit-exactness survives batching.
+Stacking activation rows along the batch axis is only bit-exact for
+kernels whose per-sample arithmetic is independent of the batch extent.
+Elementwise ops, pooling reductions and the 3-D ``matmul`` convolution
+paths qualify; the 2-D GEMM behind :func:`F.linear` and the ``einsum``
+depthwise/grouped convolution paths do **not** (BLAS blocking changes
+with the batch dimension).  Each :class:`OpSpec` records this as
+``batch_invariant``.  The exact engine never stacks: its dense tail runs
+every op at the full eval batch.  The vectorized engine's certified walk
+stacks surviving (variant, image) rows through invariant ops only and
+runs the others once per variant at the full eval batch, shaped exactly
+like the exact engine's call, so bit-exactness survives stacking.
 """
 
 from __future__ import annotations

@@ -33,11 +33,13 @@ Execution pipeline per batch of K same-layer faults:
    of channel-preserving ops (bn / relu / relu6 / subsample / pad) and
    re-certified once more at the chain's end — post-relu gating is by
    far the strongest pruner.
-2. **Adaptive dense delegation** — a variant still alive on most of the
-   eval batch after seeding has nothing left to prune; it is handed
-   verbatim to :meth:`PlanEngine._run_batch` (the exact engine's
-   contiguous, certification-free dense tail), which is faster per row
-   once certification can no longer win.
+2. **Dense continuation** — a variant still alive on most of the eval
+   batch after seeding has nothing left to prune.  Its surviving seed
+   rows are scattered into a golden copy of the start slot and it
+   continues through :meth:`PlanEngine._dense_tail` (the exact engine's
+   contiguous, certification-free tail), which is faster per row once
+   certification can no longer win.  Surviving rows take the tail's
+   predictions; certified rows keep the golden one.
 3. **Stacked suffix walk** — the remaining (variant, image) rows are
    lifted into one leading variant axis and the suffix runs as stacked
    im2col + one big GEMM per op, re-certifying and compacting rows at a
@@ -80,7 +82,7 @@ from repro.telemetry import Telemetry
 #: beyond it are executed in row blocks so the per-op working set stays
 #: cache-sized (bit-identical: blocking only splits the batch axis of
 #: batch-invariant kernels).
-DEFAULT_OP_BUDGET = 4 * 1024 * 1024
+_OP_BUDGET = 4 * 1024 * 1024
 
 #: Multiplicative slack on every certification bound: keeps the float64
 #: bound arithmetic's own rounding from certifying a borderline fault
@@ -99,15 +101,8 @@ CERT_STRIDE = 3
 #: tail to completion is cheaper than trying to prune it.
 CERT_MIN_ROWS = 48
 
-#: Ops that touch each channel independently (or merely renumber
-#: channels): a single dirty channel can be replayed through them in
-#: isolation, bit-identically to the full op.
-_PRESERVE_KINDS = frozenset(
-    {"batchnorm2d", "relu", "relu6", "subsample2d", "pad_channels"}
-)
-
 #: A seeded variant still alive on more than ``n // DENSE_ALIVE_DIV``
-#: images is delegated to the exact engine's dense tail instead of the
+#: images continues on the exact engine's dense tail instead of the
 #: certified walk — with most rows alive there is nothing to prune, and
 #: the dense path's contiguous, certification-free kernels are faster
 #: per row.
@@ -123,16 +118,10 @@ DEFAULT_VEC_BATCH_SIZE = 256
 class VectorizedPlanEngine(PlanEngine):
     """Certified variant-axis vectorized execution over a captured plan.
 
-    Parameters mirror :class:`PlanEngine`, plus:
-
-    op_budget:
-        Per-op byte budget for the stacked suffix workspace (see
-        :data:`DEFAULT_OP_BUDGET`).
-
-    Outcomes are bit-identical to the plan and module engines;
-    the engine runs under distinct plan/engine fingerprints that
-    :func:`repro.check.check_plan_vectorized` declares compatible with
-    its exact twins.
+    Parameters mirror :class:`PlanEngine`.  Outcomes are bit-identical
+    to the plan and module engines; the engine runs under distinct
+    plan/engine fingerprints that :func:`repro.check.check_plan_vectorized`
+    declares compatible with its exact twins.
     """
 
     kind = "plan_vectorized"
@@ -148,7 +137,6 @@ class VectorizedPlanEngine(PlanEngine):
         threshold: float = 0.0,
         telemetry: Telemetry | None = None,
         batch_size: int = DEFAULT_VEC_BATCH_SIZE,
-        op_budget: int = DEFAULT_OP_BUDGET,
         backend: Backend | None = None,
     ) -> None:
         resolved = resolve_backend(backend)
@@ -169,9 +157,6 @@ class VectorizedPlanEngine(PlanEngine):
             batch_size=batch_size,
             backend=resolved,
         )
-        if op_budget < 1:
-            raise ValueError(f"op_budget must be >= 1, got {op_budget}")
-        self.op_budget = int(op_budget)
         # Lazy: repro.check reasons about runtime; runtime must not
         # import it at module load.
         from repro.check import (
@@ -198,8 +183,6 @@ class VectorizedPlanEngine(PlanEngine):
         self._num_classes = logits.shape[1]
         self._gamma_cache: dict[int, tuple[dict, dict]] = {}
         self._stats_cache: tuple[int, np.ndarray, np.ndarray] | None = None
-        self._chain_cache: dict[int, list[OpSpec]] = {}
-        self._bn_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
         #: Faults fully retired by pre-certification (no kernel work).
         self.precertified = 0
@@ -211,7 +194,7 @@ class VectorizedPlanEngine(PlanEngine):
         self.vec_blocks = 0
         #: Non-batch-invariant ops replayed per variant at full batch.
         self.full_batch_ops = 0
-        #: Variants delegated to the exact dense tail (mostly-alive).
+        #: Mostly-alive variants continued on the exact dense tail.
         self.dense_fallback_faults = 0
 
     # -- certification machinery -------------------------------------------
@@ -365,12 +348,10 @@ class VectorizedPlanEngine(PlanEngine):
         with np.errstate(all="ignore"):
             gmax, gmean = self._gammas(op_index)
             gcol_max, gcol_mean = gmax[op.output], gmean[op.output]
-            eligible = op.kind == "linear" or (
-                op.kind == "conv2d" and op.module.groups == 1
-            )
+            row_separable = self._row_separable(op)
             survivors: list[tuple[int, Fault, np.ndarray]] = []
             for v, fault in enumerate(faults):
-                if eligible:
+                if row_separable:
                     alive = self._precertify(op, fault, gcol_max, gcol_mean)
                 else:
                     alive = np.ones(len(self.images), dtype=bool)
@@ -378,32 +359,16 @@ class VectorizedPlanEngine(PlanEngine):
                     survivors.append((v, fault, alive))
                 else:
                     self.precertified += 1
-            dense_count = 0
             if survivors:
-                if eligible:
-                    img, var, start, start_idx = self._seed_sparse(
-                        op, survivors, gcol_max, gcol_mean
-                    )
-                else:
-                    img, var, start, start_idx = self._seed_dense(
-                        op, survivors, gcol_max, gcol_mean
-                    )
-                if img.size:
-                    # Variants still alive on most images gain nothing
-                    # from row pruning — the exact engine's dense tail
-                    # is faster per row (contiguous, no certification).
-                    # Delegate them, bit-exactly, and walk the rest.
-                    counts = np.bincount(var, minlength=k)
-                    n = len(self.images)
-                    dense = np.nonzero(counts > n // DENSE_ALIVE_DIV)[0]
-                    if dense.size:
-                        dense_count = int(dense.size)
-                        keep = ~np.isin(var, dense)
-                        img, var, start = img[keep], var[keep], start[keep]
-                        preds[dense] = PlanEngine._run_batch(
-                            self, layer_idx, [faults[v] for v in dense]
-                        )
-                        self.dense_fallback_faults += dense_count
+                seeding = (
+                    self._seed_sparse if row_separable else self._seed_dense
+                )
+                img, var, start, start_idx = seeding(
+                    op, survivors, gcol_max, gcol_mean
+                )
+                img, var, start = self._continue_dense(
+                    start_idx, img, var, start, preds
+                )
                 self._walk(
                     start_idx,
                     self.plan.affected_ops(start_idx),
@@ -415,70 +380,46 @@ class VectorizedPlanEngine(PlanEngine):
         self.tail_passes += 1
         self.ops_executed += len(tail) if survivors else 0
         self.ops_cached += len(self.plan.ops) - 1 - len(tail)
-        # The delegated dense pass already counted its own inferences
-        # (and a tail pass) via the parent implementation.
-        self.inference_count += k - dense_count
+        self.inference_count += k
         if self.telemetry.enabled:
-            self.telemetry.counter("engine.inferences").add(k - dense_count)
+            self.telemetry.counter("engine.inferences").add(k)
             self.telemetry.counter("engine.precertified").add(
                 k - len(survivors)
             )
         return preds
 
-    def _preserve_chain(self, op_index: int) -> list[OpSpec]:
-        """Longest single-consumer channel-preserving chain after an op.
+    def _continue_dense(
+        self,
+        start_idx: int,
+        img: np.ndarray,
+        var: np.ndarray,
+        start: np.ndarray,
+        preds: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Finish mostly-alive variants on the exact dense tail.
 
-        While the fault's effect stays confined to one channel, bn /
-        relu / subsample / pad can be replayed on that channel alone —
-        bitwise equal to the full op at a fraction of the cost — before
-        the first channel-mixing op forces dense execution.
+        Each such variant runs :meth:`PlanEngine._dense_tail` from a
+        golden copy of the start slot with its surviving seed rows
+        scattered in.  Every tail kernel computes an output row from its
+        own input row only, so the surviving rows come out exactly as in
+        the exact engine; the certified rows' golden stand-ins never
+        enter their arithmetic and keep the golden prediction.  Returns
+        the rows left for the certified walk.
         """
-        chain = self._chain_cache.get(op_index)
-        if chain is None:
-            chain = []
-            slot = self.plan.ops[op_index].output
-            while True:
-                cons = self.plan.consumers(slot)
-                if len(cons) != 1:
-                    break
-                t = cons[0]
-                if t.kind not in _PRESERVE_KINDS or len(t.inputs) != 1:
-                    break
-                chain.append(t)
-                slot = t.output
-            self._chain_cache[op_index] = chain
-        return chain
-
-    def _apply_channel(
-        self, t: OpSpec, val: np.ndarray, c: int
-    ) -> tuple[np.ndarray, int]:
-        """Run channel-preserving op *t* on one channel's values.
-
-        The kernels are elementwise per channel (bn affine, relu
-        clamps) or pure reindexing (subsample, pad), so the slice comes
-        out bit-identical to slicing the full op's output.
-        """
-        if t.kind == "batchnorm2d":
-            cached = self._bn_cache.get(t.index)
-            if cached is None:
-                m = t.module
-                scale = (
-                    m.weight.data / np.sqrt(m.running_var + m.eps)
-                ).astype(np.float32)
-                shift = (m.bias.data - m.running_mean * scale).astype(
-                    np.float32
-                )
-                cached = self._bn_cache[t.index] = (scale, shift)
-            scale, shift = cached
-            return val * scale[c] + shift[c], c
-        if t.kind == "relu":
-            return np.maximum(val, 0.0), c
-        if t.kind == "relu6":
-            return np.clip(val, 0.0, 6.0), c
-        if t.kind == "subsample2d":
-            stride = t.params["stride"]
-            return val[:, ::stride, ::stride], c
-        return val, c + t.params["before"]  # pad_channels renumbers
+        counts = np.bincount(var, minlength=len(preds))
+        dense = np.nonzero(counts > len(self.images) // DENSE_ALIVE_DIV)[0]
+        if dense.size == 0:
+            return img, var, start
+        golden = self._golden[self.plan.ops[start_idx].output]
+        for v in dense:
+            sel = var == v
+            rows = img[sel]
+            seed = golden.copy()
+            seed[rows] = start[sel]
+            preds[v, rows] = self._dense_tail(start_idx, seed)[rows]
+        self.dense_fallback_faults += int(dense.size)
+        keep = ~np.isin(var, dense)
+        return img[keep], var[keep], start[keep]
 
     def _seed_sparse(
         self,
@@ -578,12 +519,10 @@ class VectorizedPlanEngine(PlanEngine):
         exactly as the exact engine would — full batch, full channels —
         and certification starts from the complete output delta.
         """
-        golden_inputs = [self._golden[s] for s in op.inputs]
         golden_out = self._golden[op.output]
         imgs, vars_, parts = [], [], []
         for v, fault, alive in survivors:
-            with self.injector.inject(fault):
-                out = self.plan.run_op(op, golden_inputs)
+            out = self._faulty_output(op, fault)
             bmax, bmean = F.channel_abs_stats(out - golden_out)
             bound = np.minimum(bmax @ gcol_max.T, bmean @ gcol_mean.T)
             keep = alive & ~self._certified(bound, None)
@@ -692,7 +631,7 @@ class VectorizedPlanEngine(PlanEngine):
             kh, kw = t.module.weight.data.shape[2:]
             if kh * kw > 1:
                 row_bytes *= 1 + kh * kw
-        block = max(1, self.op_budget // max(row_bytes, 1))
+        block = max(1, _OP_BUDGET // max(row_bytes, 1))
         if m <= block:
             return self.plan.run_op(t, inputs)
         self.vec_blocks += -(-m // block)

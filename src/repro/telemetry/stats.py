@@ -65,7 +65,7 @@ class CampaignSummary:
     inferences: int = 0
     cells: list[CellTiming] = field(default_factory=list)
     # Plan-engine accounting (zero when the module engine ran).
-    tail_passes: int = 0  # stacked tail passes (each covers >= 1 faults)
+    tail_passes: int = 0  # tail passes (each covers >= 1 faults)
     ops_executed: int = 0  # plan ops recomputed across all tail passes
     ops_cached: int = 0  # plan ops served from the golden op cache
     # Checkpointing.
@@ -113,7 +113,7 @@ class CampaignSummary:
 
     @property
     def batched_faults_per_pass(self) -> float:
-        """Mean logical fault inferences amortised per stacked tail pass."""
+        """Mean logical fault inferences amortised per tail pass."""
         if not self.tail_passes:
             return 0.0
         return self.inferences / self.tail_passes

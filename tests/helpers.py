@@ -16,8 +16,8 @@ class ForeignBackend(NumpyBackend):
     Numerically identical to numpy, so real classification works, but
     ``is_reference=False`` folds its attestation into plan fingerprints,
     campaign configs and shard stamps, and sends the plan engine down
-    the forced-dense, per-variant path: no ``conv2d`` or ``linear`` op
-    is ever stacked under it.
+    the full-op seeding path: no fault is seeded from a row GEMM under
+    it.
     """
 
     name = "foreign"

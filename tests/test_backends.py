@@ -4,7 +4,7 @@ Covers the ``repro.backends`` contract end to end: resolution (the given
 :class:`Backend` instance, else the shared numpy reference), per-kernel
 agreement between the reference backend and :mod:`repro.nn.functional`,
 backend-qualified plan fingerprints, the non-reference plan engine's
-forced-dense path (through the test-local :class:`ForeignBackend`), and
+full-op seeding path (through the test-local :class:`ForeignBackend`), and
 the engine-level restrictions (module and vectorized engines are
 reference-only).
 """
@@ -152,18 +152,9 @@ def foreign_engines(tiny_model, tiny_eval_set):
 
 
 class TestForeignBackendParity:
-    """A non-reference plan engine takes the forced-dense, per-variant
-    path; on reference numerics it must classify exactly as the
-    reference engine does."""
-
-    def test_no_conv_or_linear_op_is_stackable(self, foreign_engines):
-        _reference, foreign = foreign_engines
-        assert foreign.backend.name == "foreign"
-        assert not any(
-            stackable
-            for op, stackable in zip(foreign.plan.ops, foreign._stackable)
-            if op.kind in ("conv2d", "linear")
-        )
+    """A non-reference plan engine seeds every fault from the full faulty
+    op; on reference numerics it must classify exactly as the reference
+    engine does."""
 
     def test_plan_engine_classifies_like_reference(self, foreign_engines):
         reference, foreign = foreign_engines

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.check import plan as check_plan_mod
 from repro.data import SynthCIFAR
 from repro.dist import (
     ExhaustiveContext,
@@ -80,8 +81,12 @@ class TestAttestationStamps:
         context = ExhaustiveContext(module_engine, space)
         assert context.attestation() == {}
 
-    def test_context_attests_verified_plan(self, plan_setup):
+    def test_context_attests_verified_plan(self, plan_setup, monkeypatch):
         engine, space = plan_setup
+        # Any vectorized engine built earlier in the process over the
+        # same architecture has declared a peer for this fingerprint;
+        # the stamp under test is the one with no declarations.
+        monkeypatch.setattr(check_plan_mod, "_COMPATIBLE_FINGERPRINTS", {})
         context = ExhaustiveContext(engine, space)
         assert context.attestation() == {
             "plan_sha256": engine.plan_fingerprint,
@@ -223,8 +228,6 @@ class TestMixedEngineMerge:
         assert engine.plan_fingerprint in vec_stamp["plan_compatible_with"]
         for spec in specs:
             queue.complete(spec, zero_arrays(spec, config), meta=vec_stamp)
-        from repro.check import plan as check_plan_mod
-
         monkeypatch.setattr(
             check_plan_mod, "_COMPATIBLE_FINGERPRINTS", {}
         )

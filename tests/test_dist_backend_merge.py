@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.check import declare_fingerprints_compatible
+from repro.check import plan as check_plan_mod
 from repro.data import SynthCIFAR
 from repro.dist import (
     ExhaustiveContext,
@@ -88,7 +89,7 @@ class TestBackendIdentity:
 
 class TestCrossBackendMerge:
     def test_undeclared_cross_backend_shard_refused(
-        self, backend_setup, tmp_path
+        self, backend_setup, tmp_path, monkeypatch
     ):
         reference, shifted, space = backend_setup
         queue, config, specs = submitted_queue(
@@ -102,23 +103,29 @@ class TestCrossBackendMerge:
         foreign.pop("plan_compatible_with", None)
         queue.complete(specs[0], zero_arrays(specs[0], config), meta=ref_stamp)
         queue.complete(specs[1], zero_arrays(specs[1], config), meta=foreign)
-        from repro.check import plan as check_plan_mod
-
-        saved = check_plan_mod._COMPATIBLE_FINGERPRINTS
-        check_plan_mod._COMPATIBLE_FINGERPRINTS = {}
-        try:
-            with pytest.raises(MergeError, match="does not attest"):
-                merge_exhaustive(queue)
-        finally:
-            check_plan_mod._COMPATIBLE_FINGERPRINTS = saved
+        monkeypatch.setattr(check_plan_mod, "_COMPATIBLE_FINGERPRINTS", {})
+        with pytest.raises(MergeError, match="does not attest"):
+            merge_exhaustive(queue)
 
     def test_declared_compatible_shard_accepted(
-        self, backend_setup, tmp_path
+        self, backend_setup, tmp_path, monkeypatch
     ):
         reference, shifted, space = backend_setup
         queue, config, specs = submitted_queue(
             tmp_path, reference, space,
             runtime=plan_attestation_runtime(reference),
+        )
+        # The declaration below lands in the process-global registry;
+        # declare into a copy so later tests see the registry unchanged.
+        monkeypatch.setattr(
+            check_plan_mod,
+            "_COMPATIBLE_FINGERPRINTS",
+            {
+                fingerprint: set(peers)
+                for fingerprint, peers in (
+                    check_plan_mod._COMPATIBLE_FINGERPRINTS.items()
+                )
+            },
         )
         declare_fingerprints_compatible(
             shifted.plan_fingerprint, reference.plan_fingerprint

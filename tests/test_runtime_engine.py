@@ -59,7 +59,7 @@ class TestPlanMatchesModule:
         )
 
     def test_batched_predictions_bitwise_equal(self, engines):
-        """Stacked tail passes return exactly the unbatched predictions."""
+        """Batched tail passes return exactly the unbatched predictions."""
         module_engine, plan_engine = engines
         rng = np.random.default_rng(9)
         for layer in range(len(module_engine.layers)):

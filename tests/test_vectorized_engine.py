@@ -21,7 +21,13 @@ from repro.dist import (
     exhaustive_config,
     verify_context_config,
 )
-from repro.faults import Fault, FaultModel, FaultSpace, OutcomeTable
+from repro.faults import (
+    Fault,
+    FaultModel,
+    FaultSpace,
+    OutcomeTable,
+    enumerate_weight_layers,
+)
 from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR, create_model
 from repro.runtime import (
@@ -68,6 +74,11 @@ def all_layer_faults(engine, *, bits=None) -> list[Fault]:
     return faults
 
 
+def continuation_counters(engine) -> tuple[int, int]:
+    """Variants continued on the dense tail, rows finished by the walk."""
+    return engine.dense_fallback_faults, engine.survivor_rows
+
+
 class TestBitIdentity:
     def test_exhaustive_table_is_bit_identical(self, tiny_setup):
         exact, vectorized, space = tiny_setup
@@ -83,9 +94,17 @@ class TestBitIdentity:
     def test_prediction_matrix_is_bit_identical(self, tiny_setup):
         exact, vectorized, _ = tiny_setup
         faults = all_layer_faults(exact)
+        before = continuation_counters(vectorized)
         preds_exact = exact.predictions_for_faults(faults)
         preds_vec = vectorized.predictions_for_faults(faults)
         assert np.array_equal(np.asarray(preds_exact), np.asarray(preds_vec))
+        # Both the dense continuation from seeds and the certified walk
+        # ran, so the identity covers each of them.
+        dense, survivors = np.subtract(
+            continuation_counters(vectorized), before
+        )
+        assert dense > 0
+        assert survivors > 0
 
     def test_mobilenet_depthwise_fallback_is_bit_identical(self):
         """Depthwise/grouped convs are not batch-invariant; the engine
@@ -101,7 +120,70 @@ class TestBitIdentity:
         preds_exact = exact.predictions_for_faults(faults)
         preds_vec = vectorized.predictions_for_faults(faults)
         assert np.array_equal(np.asarray(preds_exact), np.asarray(preds_vec))
+        dense, survivors = continuation_counters(vectorized)
+        assert dense > 0
+        assert survivors > 0
         assert exact.classify_many(faults) == vectorized.classify_many(faults)
+
+
+class TestNonFiniteFaults:
+    """Exponent flips that drive a weight to +inf or NaN.
+
+    Flipping bit 30 of 1.0 gives +inf and of 1.5 a quiet NaN.  Every
+    engine must classify the resulting non-finite logits identically —
+    ``argmax`` picks the first NaN in a row — and no bound built from a
+    non-finite delta may certify a row.
+    """
+
+    @pytest.mark.parametrize(
+        ("value", "is_expected"),
+        [(1.0, np.isposinf), (1.5, np.isnan)],
+        ids=["inf", "nan"],
+    )
+    @pytest.mark.parametrize(
+        "layer_name", ["stem.conv", "blocks.1.conv2", "head.fc"]
+    )
+    def test_engines_agree_on_non_finite_logits(
+        self, layer_name, value, is_expected
+    ):
+        # A fresh model per case: the golden weight is edited in place.
+        model = ResNetCIFAR(blocks_per_stage=1, widths=(2, 4, 6), seed=3)
+        model.eval()
+        data = SynthCIFAR("test", size=8, seed=42)
+        layer_idx, layer = next(
+            (idx, layer)
+            for idx, layer in enumerate(enumerate_weight_layers(model))
+            if layer.name == layer_name
+        )
+        # A mid-layer weight: in the classifier it feeds logit 5, so a
+        # lone NaN there must win argmax over the finite logits.
+        index = layer.size // 2
+        layer.flat_weights()[index] = value
+        engines = {
+            kind: create_engine(model, data.images, data.labels, kind=kind)
+            for kind in ("module", "plan", "plan_vectorized")
+        }
+        fault = Fault(
+            layer=layer_idx, index=index, bit=30, model=FaultModel.BIT_FLIP
+        )
+        injector = engines["module"].injector
+        with injector.inject(fault) as faulty, np.errstate(all="ignore"):
+            logits = model.forward_fast(data.images)
+        assert is_expected(faulty)
+        assert (~np.isfinite(logits)).any(axis=1).any()
+
+        vectorized = engines["plan_vectorized"]
+        certified = (vectorized.precertified, vectorized.certified_rows)
+        rows = {
+            kind: engine.predictions_for_faults([fault])[0]
+            for kind, engine in engines.items()
+        }
+        expected = np.argmax(logits, axis=1)
+        for kind, row in rows.items():
+            np.testing.assert_array_equal(row, expected, err_msg=kind)
+        assert (vectorized.precertified, vectorized.certified_rows) == (
+            certified
+        )
 
 
 class TestFingerprints:
