@@ -25,7 +25,7 @@ this trajectory exists to keep fixed.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py \
-        [--out BENCH_engine.json] [--faults 192] [--batch-size 16]
+        [--out BENCH_engine.json] [--faults 768] [--batch-size 16]
 """
 
 from __future__ import annotations

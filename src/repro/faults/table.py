@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import resource
 import time
 
 import numpy as np
@@ -149,7 +150,8 @@ def timed_classify_cell(
     """One cell plus its wall time and inference count.
 
     Emits ``cell_start``/``cell_done`` journal events when telemetry is
-    enabled; runs the untouched classification loop when it is not.
+    enabled, ``cell_done`` carrying the process's peak RSS so far;
+    runs the untouched classification loop when it is not.
     """
     if not telemetry.enabled:
         start = time.monotonic()
@@ -179,6 +181,8 @@ def timed_classify_cell(
         seconds=seconds,
         faults=int(cell.size),
         inferences=inferences,
+        # ru_maxrss is in KiB on Linux.
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         **extras,
     )
     return cell, seconds, inferences

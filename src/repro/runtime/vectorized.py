@@ -26,20 +26,23 @@ Execution pipeline per batch of K same-layer faults:
    the golden input channel statistics alone.  No kernels at all; on
    the campaign-representative mix this retires the majority of faults.
 1. **Exact dirty rows + chain propagation** — surviving variants'
-   faulted output channels via one stacked row-GEMM
-   (:meth:`PlanEngine._variant_rows`, bit-identical to the dense op's
-   rows), re-certified against the now exact channel delta; then the
-   dirty channel is replayed bitwise through any single-consumer chain
-   of channel-preserving ops (bn / relu / relu6 / subsample / pad) and
-   re-certified once more at the chain's end — post-relu gating is by
-   far the strongest pruner.
-2. **Dense continuation** — a variant still alive on most of the eval
-   batch after seeding has nothing left to prune.  Its surviving seed
-   rows are scattered into a golden copy of the start slot and it
-   continues through :meth:`PlanEngine._dense_tail` (the exact engine's
-   contiguous, certification-free tail), which is faster per row once
-   certification can no longer win.  Surviving rows take the tail's
-   predictions; certified rows keep the golden one.
+   faulted output channels via one stacked row-GEMM per budget-sized
+   chunk of variants (:meth:`PlanEngine._variant_rows`, bit-identical
+   to the dense op's rows), re-certified against the now exact channel
+   delta; then the dirty channel is replayed bitwise through any
+   single-consumer chain of channel-preserving ops (bn / relu / relu6 /
+   subsample / pad) and re-certified once more at the chain's end —
+   post-relu gating is by far the strongest pruner.
+2. **Dense continuation** — each variant is dispatched as soon as its
+   last certificate is computed.  One still alive on most of the eval
+   batch has nothing left to prune: its surviving rows are patched into
+   a golden copy of the start slot and it continues at once through
+   :meth:`PlanEngine._dense_tail` (the exact engine's contiguous,
+   certification-free tail), which is faster per row once certification
+   can no longer win.  Surviving rows take the tail's predictions;
+   certified rows keep the golden one.  Only the few-row variants'
+   rows are kept, for step 3, so a batch's working set is one seeding
+   chunk plus the walk rows, whatever the batch size.
 3. **Stacked suffix walk** — the remaining (variant, image) rows are
    lifted into one leading variant axis and the suffix runs as stacked
    im2col + one big GEMM per op, re-certifying and compacting rows at a
@@ -81,7 +84,8 @@ from repro.telemetry import Telemetry
 #: Per-op byte budget for the stacked suffix workspace; stacked rows
 #: beyond it are executed in row blocks so the per-op working set stays
 #: cache-sized (bit-identical: blocking only splits the batch axis of
-#: batch-invariant kernels).
+#: batch-invariant kernels).  It also sizes the seeding chunks: one
+#: budget of output channels per row GEMM (bit-identical for M >= 2).
 _OP_BUDGET = 4 * 1024 * 1024
 
 #: Multiplicative slack on every certification bound: keeps the float64
@@ -363,20 +367,31 @@ class VectorizedPlanEngine(PlanEngine):
                 seeding = (
                     self._seed_sparse if row_separable else self._seed_dense
                 )
-                img, var, start, start_idx = seeding(
-                    op, survivors, gcol_max, gcol_mean
+                start_idx, seeded = seeding(
+                    op, survivors, gcol_max, gcol_mean, preds
                 )
-                img, var, start = self._continue_dense(
-                    start_idx, img, var, start, preds
-                )
-                self._walk(
-                    start_idx,
-                    self.plan.affected_ops(start_idx),
-                    img,
-                    var,
-                    start,
-                    preds,
-                )
+                if seeded:
+                    # Rows stay grouped by variant in ascending order:
+                    # _run_full_batch concatenates its outputs that way.
+                    img = np.concatenate([idx for _, idx, _, _ in seeded])
+                    var = np.repeat(
+                        [v for v, _, _, _ in seeded],
+                        [idx.size for _, idx, _, _ in seeded],
+                    )
+                    # The gather is already a copy: patch it in place.
+                    start = self._golden[self.plan.ops[start_idx].output][img]
+                    offset = 0
+                    for _, idx, c, val in seeded:
+                        start[offset : offset + idx.size, c] = val
+                        offset += idx.size
+                    self._walk(
+                        start_idx,
+                        self.plan.affected_ops(start_idx),
+                        img,
+                        var,
+                        start,
+                        preds,
+                    )
         self.tail_passes += 1
         self.ops_executed += len(tail) if survivors else 0
         self.ops_cached += len(self.plan.ops) - 1 - len(tail)
@@ -391,35 +406,31 @@ class VectorizedPlanEngine(PlanEngine):
     def _continue_dense(
         self,
         start_idx: int,
-        img: np.ndarray,
-        var: np.ndarray,
-        start: np.ndarray,
+        v: int,
+        idx: np.ndarray,
+        c: int | slice,
+        val: np.ndarray,
         preds: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Finish mostly-alive variants on the exact dense tail.
+    ) -> bool:
+        """Finish variant *v* on the exact dense tail if it is mostly alive.
 
-        Each such variant runs :meth:`PlanEngine._dense_tail` from a
-        golden copy of the start slot with its surviving seed rows
-        scattered in.  Every tail kernel computes an output row from its
-        own input row only, so the surviving rows come out exactly as in
-        the exact engine; the certified rows' golden stand-ins never
-        enter their arithmetic and keep the golden prediction.  Returns
-        the rows left for the certified walk.
+        A variant alive on more than ``n // DENSE_ALIVE_DIV`` images runs
+        :meth:`PlanEngine._dense_tail` from a golden copy of the start
+        slot with its surviving rows *idx* patched in (channel *c*, or
+        whole rows for ``c = slice(None)``).  Every tail kernel computes
+        an output row from its own input row only, so the surviving rows
+        come out exactly as in the exact engine; the certified rows'
+        golden stand-ins never enter their arithmetic and keep the golden
+        prediction.  Returns False for a few-row variant, whose rows are
+        left to the certified walk.
         """
-        counts = np.bincount(var, minlength=len(preds))
-        dense = np.nonzero(counts > len(self.images) // DENSE_ALIVE_DIV)[0]
-        if dense.size == 0:
-            return img, var, start
-        golden = self._golden[self.plan.ops[start_idx].output]
-        for v in dense:
-            sel = var == v
-            rows = img[sel]
-            seed = golden.copy()
-            seed[rows] = start[sel]
-            preds[v, rows] = self._dense_tail(start_idx, seed)[rows]
-        self.dense_fallback_faults += int(dense.size)
-        keep = ~np.isin(var, dense)
-        return img[keep], var[keep], start[keep]
+        if idx.size <= len(self.images) // DENSE_ALIVE_DIV:
+            return False
+        seed = self._golden[self.plan.ops[start_idx].output].copy()
+        seed[idx, c] = val
+        preds[v, idx] = self._dense_tail(start_idx, seed)[idx]
+        self.dense_fallback_faults += 1
+        return True
 
     def _seed_sparse(
         self,
@@ -427,31 +438,40 @@ class VectorizedPlanEngine(PlanEngine):
         survivors: list[tuple[int, Fault, np.ndarray]],
         gcol_max: np.ndarray,
         gcol_mean: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        preds: np.ndarray,
+    ) -> tuple[int, list[tuple[int, np.ndarray, int, np.ndarray]]]:
         """Exact dirty rows for the surviving variants, re-certified.
 
-        One stacked row-GEMM computes every variant's faulted output
-        channel bit-exactly and the exact channel delta re-certifies.
-        Surviving rows are then replayed — still single-channel, still
-        bit-exact — through the channel-preserving chain (bn gains,
-        relu gating) and certified once more where the sharpened delta
-        retires most of what the weight-level bound could not.  What
-        remains is materialised as golden copies of the chain-end slot
-        with the dirty channel patched (bit-equal to dense execution:
-        row GEMMs are independent, other channels never change).
+        One stacked row-GEMM per ``_OP_BUDGET``-sized chunk of variants
+        computes their faulted output channels bit-exactly and the exact
+        channel delta re-certifies.  Surviving rows are then replayed —
+        still single-channel, still bit-exact — through the
+        channel-preserving chain (bn gains, relu gating) and certified
+        once more where the sharpened delta retires most of what the
+        weight-level bound could not.  Each variant is then dispatched
+        (:meth:`_continue_dense`).  Returns the start op and the walk
+        rows ``(v, images, channel, values)`` of the few-row variants,
+        the only stacked rows held (bit-equal to dense execution once
+        patched into golden rows: row GEMMs are independent, other
+        channels never change).
         """
-        chans, rows = self._variant_rows(op, [f for _, f, _ in survivors])
         golden_out = self._golden[op.output]
-        chain = self._preserve_chain(op.index) if rows.ndim > 2 else []
+        chain = self._preserve_chain(op.index) if golden_out.ndim > 2 else []
         start_op = chain[-1] if chain else op
         if chain:
             end_gmax, end_gmean = self._gammas(start_op.index)
             ecol_max = end_gmax[start_op.output]
             ecol_mean = end_gmean[start_op.output]
             end_golden = self._golden[start_op.output]
-        imgs, vars_, patches = [], [], []
+        chunk = max(2, _OP_BUDGET // golden_out[:, :1].nbytes)
+        seeded = []
         for j, (v, _fault, alive) in enumerate(survivors):
-            delta = rows[:, j] - golden_out[:, chans[j]]
+            if j % chunk == 0:
+                chans, rows = self._variant_rows(
+                    op, [f for _, f, _ in survivors[j : j + chunk]]
+                )
+            dirty, c = rows[:, j % chunk], int(chans[j % chunk])
+            delta = dirty - golden_out[:, c]
             if delta.ndim > 1:
                 d64 = np.abs(delta).astype(np.float64)
                 axes = tuple(range(1, delta.ndim))
@@ -459,13 +479,13 @@ class VectorizedPlanEngine(PlanEngine):
             else:
                 bmax = bmean = np.abs(delta).astype(np.float64)
             bound = np.minimum(
-                np.outer(bmax, gcol_max[:, chans[j]]),
-                np.outer(bmean, gcol_mean[:, chans[j]]),
+                np.outer(bmax, gcol_max[:, c]),
+                np.outer(bmean, gcol_mean[:, c]),
             )
             keep = alive & ~self._certified(bound, None)
             idx = np.nonzero(keep)[0]
+            val = dirty[idx]
             if idx.size and chain:
-                val, c = rows[idx, j], int(chans[j])
                 for t in chain:
                     val, c = self._apply_channel(t, val, c)
                 d = np.abs(val - end_golden[idx, c])
@@ -481,30 +501,12 @@ class VectorizedPlanEngine(PlanEngine):
                 )
                 still = ~self._certified(bound, idx)
                 idx, val = idx[still], val[still]
-            elif idx.size:
-                val, c = rows[idx, j], int(chans[j])
             self.certified_rows += int(alive.sum() - idx.size)
-            if idx.size:
-                imgs.append(idx)
-                vars_.append(np.full(idx.size, v, dtype=np.int64))
-                patches.append((c, val))
-        start_shape = self._golden[start_op.output].shape[1:]
-        if not imgs:
-            empty = np.empty(0, dtype=np.int64)
-            return (
-                empty,
-                empty,
-                np.empty((0,) + start_shape, np.float32),
-                start_op.index,
-            )
-        img = np.concatenate(imgs)
-        var = np.concatenate(vars_)
-        start = self._golden[start_op.output][img].copy()
-        offset = 0
-        for c, val in patches:
-            start[offset : offset + len(val), c] = val
-            offset += len(val)
-        return img, var, start, start_op.index
+            if idx.size and not self._continue_dense(
+                start_op.index, v, idx, c, val, preds
+            ):
+                seeded.append((v, idx, c, val))
+        return start_op.index, seeded
 
     def _seed_dense(
         self,
@@ -512,15 +514,17 @@ class VectorizedPlanEngine(PlanEngine):
         survivors: list[tuple[int, Fault, np.ndarray]],
         gcol_max: np.ndarray,
         gcol_mean: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        preds: np.ndarray,
+    ) -> tuple[int, list[tuple[int, np.ndarray, slice, np.ndarray]]]:
         """Full faulted op per variant (grouped/depthwise convs).
 
         These kernels are not row-separable, so the faulted op runs
         exactly as the exact engine would — full batch, full channels —
-        and certification starts from the complete output delta.
+        and certification starts from the complete output delta.  Each
+        variant is dispatched as in :meth:`_seed_sparse`, whole rows.
         """
         golden_out = self._golden[op.output]
-        imgs, vars_, parts = [], [], []
+        seeded = []
         for v, fault, alive in survivors:
             out = self._faulty_output(op, fault)
             bmax, bmean = F.channel_abs_stats(out - golden_out)
@@ -529,23 +533,11 @@ class VectorizedPlanEngine(PlanEngine):
             idx = np.nonzero(keep)[0]
             self.certified_rows += int(alive.sum() - idx.size)
             if idx.size:
-                imgs.append(idx)
-                vars_.append(np.full(idx.size, v, dtype=np.int64))
-                parts.append(out[idx])
-        if not imgs:
-            empty = np.empty(0, dtype=np.int64)
-            return (
-                empty,
-                empty,
-                np.empty((0,) + golden_out.shape[1:], np.float32),
-                op.index,
-            )
-        return (
-            np.concatenate(imgs),
-            np.concatenate(vars_),
-            np.concatenate(parts, axis=0),
-            op.index,
-        )
+                # Whole rows: the faulty op may have moved every channel.
+                whole, val = slice(None), out[idx]
+                if not self._continue_dense(op.index, v, idx, whole, val, preds):
+                    seeded.append((v, idx, whole, val))
+        return op.index, seeded
 
     def _walk(
         self,

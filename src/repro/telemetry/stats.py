@@ -37,6 +37,7 @@ class WorkerStats:
     cells: int
     busy_seconds: float
     utilisation: float  # busy_seconds / campaign wall time, in [0, 1]ish
+    peak_rss_mb: float = 0.0  # max over its cells; 0.0 if never journalled
 
 
 @dataclass(frozen=True)
@@ -200,6 +201,7 @@ def _summarize_run(run_id: str, events: list[Event]) -> CampaignSummary:
     explicit_elapsed: float | None = None
     span_acc: dict[str, list[float]] = {}
     worker_busy: dict[int, list[float]] = {}
+    worker_peak: dict[int, float] = {}
     shard_workers: list[str] = summary.shard_workers
 
     for event in events:
@@ -245,6 +247,10 @@ def _summarize_run(run_id: str, events: list[Event]) -> CampaignSummary:
             summary.ops_executed += int(f.get("ops_executed", 0))
             summary.ops_cached += int(f.get("ops_cached", 0))
             worker_busy.setdefault(event.pid, []).append(timing.seconds)
+            worker_peak[event.pid] = max(
+                worker_peak.get(event.pid, 0.0),
+                float(f.get("peak_rss_mb", 0.0)),
+            )
         elif event.type == "checkpoint_write":
             summary.checkpoint_writes += 1
         elif event.type == "checkpoint_resume":
@@ -306,6 +312,7 @@ def _summarize_run(run_id: str, events: list[Event]) -> CampaignSummary:
                 cells=len(worker_busy[pid]),
                 busy_seconds=busy,
                 utilisation=busy / window if window > 0 else 0.0,
+                peak_rss_mb=worker_peak[pid],
             )
         )
 
@@ -400,11 +407,13 @@ def format_summary(summary: CampaignSummary, *, top_cells: int = 10) -> str:
             f"  workers ({len(summary.workers)} pids, "
             f"{summary.heartbeats} heartbeats):"
         )
-        lines.append("    pid        cells   busy(s)   utilisation")
+        lines.append(
+            "    pid        cells   busy(s)   utilisation   peak_rss(MiB)"
+        )
         for w in summary.workers:
             lines.append(
                 f"    {w.pid:<10d} {w.cells:>5d} {w.busy_seconds:>9.2f}"
-                f"   {w.utilisation * 100:>6.1f}%"
+                f"   {w.utilisation * 100:>10.1f}%   {w.peak_rss_mb:>13.1f}"
             )
     if summary.spans:
         lines.append("  phases (span timings):")

@@ -69,6 +69,34 @@ class TestStatsCLI:
         assert record["faults_per_second"] == pytest.approx(500.0)
         assert len(record["cells"]) == 4
 
+    def test_worker_table_reports_peak_rss(
+        self, campaign_journal, tmp_path, capsys
+    ):
+        # The fixture's cells predate peak_rss_mb: the worker reads 0.0.
+        old, _ = campaign_journal
+        assert stats_main([str(old), "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)["campaigns"][0]
+        assert [w["peak_rss_mb"] for w in record["workers"]] == [0.0]
+
+        path = tmp_path / "rss.jsonl"
+        tele = Telemetry(journal=Journal(path))
+        tele.emit("campaign_start", kind="exhaustive", total=20)
+        for bit, peak in ((0, 120.5), (1, 180.4)):
+            tele.emit(
+                "cell_done",
+                layer=0,
+                bit=bit,
+                seconds=0.5,
+                faults=10,
+                peak_rss_mb=peak,
+            )
+        tele.emit("campaign_end", elapsed_seconds=1.0, faults=20)
+        assert stats_main([str(path)]) == 0
+        out = capsys.readouterr().out
+        header, row = out.split("heartbeats):\n", 1)[1].splitlines()[:2]
+        assert header.split()[-1] == "peak_rss(MiB)"
+        assert row.split()[-1] == "180.4"
+
     def test_run_filter(self, campaign_journal, capsys):
         path, run_id = campaign_journal
         # A second run in the same journal.

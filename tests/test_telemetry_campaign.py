@@ -116,6 +116,22 @@ class TestSerialCampaignJournal:
         assert dones == sorted(dones)
         assert dones[-1] == space.total_population
 
+    def test_cells_journal_peak_rss(self, campaign_setup, tmp_path):
+        engine, space = campaign_setup
+        path = tmp_path / "rss.jsonl"
+        run_with_journal(engine, space, path)
+        peaks = [
+            e.fields["peak_rss_mb"]
+            for e in read_journal(path)
+            if e.type == "cell_done"
+        ]
+        assert len(peaks) == len(space.layers) * space.bits
+        assert min(peaks) > 0
+        # A process's peak resident set never shrinks.
+        assert peaks == sorted(peaks)
+        (worker,) = summarize_journal(path)[0].workers
+        assert worker.peak_rss_mb == max(peaks)
+
 
 class TestParallelCampaignJournal:
     def test_workers_share_the_journal(

@@ -10,6 +10,8 @@ the mixed-engine fleets that attestation covers — and refuse the rest.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,34 @@ def all_layer_faults(engine, *, bits=None) -> list[Fault]:
     return faults
 
 
+@pytest.fixture(scope="module")
+def small_setup():
+    """Float32 exact and vectorized engines over a model wide enough for
+    mostly-alive batches and for few-row survivors that really flip."""
+    model = ResNetCIFAR(blocks_per_stage=1, widths=(4, 8, 12), seed=3)
+    model.eval()
+    data = SynthCIFAR("test", size=32, seed=42)
+    exact = PlanEngine(model, data.images, data.labels)
+    vectorized = VectorizedPlanEngine(
+        model, data.images, data.labels, batch_size=256
+    )
+    return exact, vectorized
+
+
+def layer_faults(engine, name: str, bit: int, model: FaultModel) -> list:
+    """Every non-masked *model* fault at *bit* of the layer *name*."""
+    layer_idx, layer = next(
+        (idx, layer)
+        for idx, layer in enumerate(engine.layers)
+        if layer.name == name
+    )
+    candidates = (
+        Fault(layer=layer_idx, index=i, bit=bit, model=model)
+        for i in range(layer.size)
+    )
+    return [f for f in candidates if not engine.injector.is_masked(f)]
+
+
 def continuation_counters(engine) -> tuple[int, int]:
     """Variants continued on the dense tail, rows finished by the walk."""
     return engine.dense_fallback_faults, engine.survivor_rows
@@ -106,6 +136,27 @@ class TestBitIdentity:
         assert dense > 0
         assert survivors > 0
 
+    def test_walk_flips_are_bit_identical(self, small_setup):
+        """Few-row survivors finish on the certified walk from stacked
+        start rows; where one really flips, the walk must reproduce the
+        exact engine's prediction."""
+        exact, vectorized = small_setup
+        faults = layer_faults(
+            vectorized, "blocks.2.conv2", 17, FaultModel.STUCK_AT_1
+        )
+        before = continuation_counters(vectorized)
+        preds = vectorized.predictions_for_faults(faults)
+        dense, survivors = np.subtract(
+            continuation_counters(vectorized), before
+        )
+        # No variant took the dense tail: every flip came from the walk.
+        assert dense == 0
+        assert survivors > 0
+        assert (preds != vectorized.golden_predictions).any()
+        np.testing.assert_array_equal(
+            preds, exact.predictions_for_faults(faults)
+        )
+
     def test_mobilenet_depthwise_fallback_is_bit_identical(self):
         """Depthwise/grouped convs are not batch-invariant; the engine
         must take the exact per-variant path for them and still match."""
@@ -124,6 +175,35 @@ class TestBitIdentity:
         assert dense > 0
         assert survivors > 0
         assert exact.classify_many(faults) == vectorized.classify_many(faults)
+
+
+class TestBoundedWorkingSet:
+    def test_batch_peak_memory_does_not_grow_with_k(self, small_setup):
+        """Seeded variants are dispatched one by one, so a batch of 128
+        mostly-alive faults holds about what a batch of 32 does — not
+        a K-wide stack of seeded rows."""
+        exact, vectorized = small_setup
+        faults = layer_faults(
+            vectorized, "blocks.0.conv1", 30, FaultModel.STUCK_AT_1
+        )
+        assert len(faults) >= 128
+        vectorized.predictions_for_faults(faults[:32])  # warm every cache
+        peaks = {}
+        for k in (32, 128):
+            batch = faults[:k]
+            before = vectorized.dense_fallback_faults
+            tracemalloc.start()
+            try:
+                preds = vectorized.predictions_for_faults(batch)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # Every variant is mostly alive: all K take the dense path.
+            assert vectorized.dense_fallback_faults - before == k
+            np.testing.assert_array_equal(
+                preds, exact.predictions_for_faults(batch)
+            )
+        assert peaks[128] <= 1.5 * peaks[32]
 
 
 class TestNonFiniteFaults:
