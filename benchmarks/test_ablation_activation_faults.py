@@ -21,14 +21,6 @@ from repro.models import create_model
 from repro.sfi import CampaignRunner, DataUnawareSFI
 
 
-class _ActivationOracle:
-    def __init__(self, engine):
-        self.engine = engine
-
-    def classify(self, fault):
-        return self.engine.classify(fault)
-
-
 def test_activation_vs_weight_criticality(benchmark, resnet8_truth):
     weight_table, weight_space, _ = resnet8_truth
     model = create_model("resnet8_mini", pretrained=True)
@@ -38,9 +30,7 @@ def test_activation_vs_weight_criticality(benchmark, resnet8_truth):
 
     def build():
         plan = DataUnawareSFI(error_margin=0.1, confidence=0.9).plan(act_space)
-        return CampaignRunner(_ActivationOracle(engine), act_space).run(
-            plan, seed=0
-        )
+        return CampaignRunner(engine, act_space).run(plan, seed=0)
 
     result = benchmark.pedantic(build, rounds=1, iterations=1)
 

@@ -29,16 +29,6 @@ from repro.utils import artifacts_dir
 MODEL = "resnet8_mini"
 
 
-class ActivationOracle:
-    """Adapter: classify sampled faults through the activation engine."""
-
-    def __init__(self, engine: ActivationInferenceEngine) -> None:
-        self.engine = engine
-
-    def classify(self, fault):
-        return self.engine.classify(fault)
-
-
 def main() -> None:
     if not pretrained_path(MODEL).is_file():
         train_reference_model(MODEL)
@@ -55,7 +45,7 @@ def main() -> None:
 
     plan = DataUnawareSFI(error_margin=0.1, confidence=0.9).plan(space)
     print(plan.describe())
-    result = CampaignRunner(ActivationOracle(engine), space).run(plan, seed=0)
+    result = CampaignRunner(engine, space).run(plan, seed=0)
     print(result.summary())
 
     print("\nper-site critical rates (activation flips):")

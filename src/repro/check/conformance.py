@@ -121,7 +121,6 @@ def run_conformance(
     eval_size: int = 64,
     faults: int = 128,
     seed: int = 0,
-    batch_size: int = 16,
 ) -> ConformanceReport:
     """Compare engines fault by fault over one campaign-representative sample.
 
@@ -131,7 +130,8 @@ def run_conformance(
 
     The engine under test is the vectorized engine against the exact
     plan engine, plus a module-engine bit-identity check; any flip in
-    either comparison fails the report.
+    either comparison fails the report.  Both plan engines run at their
+    own batch sizes, the configuration campaigns run.
     """
     # Lazy: check is imported by runtime's plan layer; the engines pull
     # in the whole runtime stack.
@@ -151,12 +151,8 @@ def run_conformance(
         name = type(model).__name__
 
     data = SynthCIFAR("test", size=eval_size, seed=1234)
-    exact = PlanEngine(
-        model, data.images, data.labels, batch_size=batch_size
-    )
-    under_test = VectorizedPlanEngine(
-        model, data.images, data.labels, batch_size=batch_size
-    )
+    exact = PlanEngine(model, data.images, data.labels)
+    under_test = VectorizedPlanEngine(model, data.images, data.labels)
     from repro.check.plan import fingerprints_compatible
 
     attested = fingerprints_compatible(

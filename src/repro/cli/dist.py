@@ -20,7 +20,7 @@ shard lifecycle:
   queues and mismatched config fingerprints.
 
 ``submit --auto`` closes the telemetry loop: a cost model fitted from a
-measured journal (``--fit``) picks the engine kind, batch size and shard
+measured journal (``--fit``) picks the engine kind and shard
 granularity, and the resulting prediction is recorded with the campaign
 so ``repro-stats`` can report predicted-vs-actual error afterwards.
 """
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     auto.add_argument(
         "--auto",
         action="store_true",
-        help="pick engine kind, batch size and shard granularity from a "
+        help="pick engine kind and shard granularity from a "
         "cost model fitted from measured telemetry (needs --fit or "
         "--cost-model; exhaustive campaigns only)",
     )
@@ -388,7 +388,7 @@ def _cmd_submit(args) -> int:
         args.engine = choice.engine
         args.shards = choice.shards
         print(
-            f"auto: engine={choice.engine} batch={choice.batch_size} "
+            f"auto: engine={choice.engine} "
             f"shards={choice.shards} -> predicted "
             f"{choice.prediction.wall_seconds:.2f}s wall at "
             f"{args.workers} worker(s)"

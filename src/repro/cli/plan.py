@@ -4,7 +4,7 @@ The base mode reproduces the paper's Table I layout (sample sizes per
 subpopulation).  ``--predict`` adds the cost side: a
 :class:`~repro.telemetry.costmodel.CostModel` fitted from measured
 telemetry journals (``--fit``) and the engine-throughput bench
-(``--bench``) prices every engine kind × batch size × worker count
+(``--bench``) prices every engine kind × worker count
 before anything runs, and the headline prediction can be journalled
 (``--trace``) so ``repro-stats`` later reports predicted-vs-actual
 error.
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--predict",
         action="store_true",
         help="print predicted wall clock / fault-evaluations per engine "
-        "kind x batch size x worker count, fitted from measured telemetry",
+        "kind x worker count, fitted from measured telemetry",
     )
     predict.add_argument(
         "--fit",
@@ -119,13 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("module", "plan", "plan_vectorized"),
         help="engine for the headline prediction (default: the fastest "
         "benched engine, else the measured one)",
-    )
-    predict.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="batch size for the headline prediction (default: the "
-        "bench's batch for the chosen engine)",
     )
     predict.add_argument(
         "--workers",
@@ -184,25 +177,6 @@ def _build_cost_model(args, space) -> CostModel:
     return model
 
 
-def _engine_axis(cost_model: CostModel) -> list[tuple[str, str, int]]:
-    """(display name, engine kind, batch size) rows for the table."""
-    rows = [
-        (rate.name, rate.kind, rate.batch_size)
-        for rate in sorted(
-            cost_model.engine_rates.values(), key=lambda r: r.name
-        )
-    ]
-    if not rows:
-        rows = [
-            (
-                cost_model.measured_engine,
-                cost_model.measured_engine,
-                cost_model.measured_batch_size,
-            )
-        ]
-    return rows
-
-
 def _predict(args, space, plans, tele) -> dict:
     """Print the prediction tables; returns the JSON-ready report."""
     cost_model = _build_cost_model(args, space)
@@ -212,8 +186,7 @@ def _predict(args, space, plans, tele) -> dict:
     print(
         f"cost model: {cost_model.cells_observed} cells "
         f"({cost_model.faults_observed:,} faults) measured on "
-        f"engine={cost_model.measured_engine} "
-        f"batch={cost_model.measured_batch_size}; "
+        f"engine={cost_model.measured_engine}; "
         f"utilisation {cost_model.utilisation * 100:.0f}%"
         + (
             f"; bench: {', '.join(sorted(cost_model.engine_rates))}"
@@ -222,9 +195,10 @@ def _predict(args, space, plans, tele) -> dict:
         )
     )
     workers_axis = _worker_axis(args.workers)
-    engine_axis = _engine_axis(cost_model)
+    # The benched engine kinds, else the measured one.
+    engine_axis = sorted(cost_model.engine_rates) or [cost_model.measured_engine]
     table_rows = []
-    header = f"  {'engine':<18s} {'batch':>5s}" + "".join(
+    header = f"  {'engine':<18s}" + "".join(
         f" {'w=' + str(w):>12s}" for w in workers_axis
     )
     print(
@@ -232,13 +206,12 @@ def _predict(args, space, plans, tele) -> dict:
         f"{space.total_population:,} fault-evaluations:"
     )
     print(header)
-    for name, kind, batch_size in engine_axis:
+    for kind in engine_axis:
         cells = []
         for w in workers_axis:
             prediction = cost_model.predict_exhaustive(
                 space,
                 engine=kind,
-                batch_size=batch_size,
                 workers=w,
                 shards=args.shards,
                 model=args.model,
@@ -246,27 +219,24 @@ def _predict(args, space, plans, tele) -> dict:
             cells.append(prediction)
         table_rows.append(
             {
-                "engine": name,
-                "kind": kind,
-                "batch_size": batch_size,
+                "engine": kind,
                 "predictions": [p.to_dict() for p in cells],
             }
         )
         print(
-            f"  {name:<18s} {batch_size:>5d}"
+            f"  {kind:<18s}"
             + "".join(f" {p.wall_seconds:>11.2f}s" for p in cells)
         )
 
     headline = cost_model.predict_exhaustive(
         space,
         engine=args.engine,
-        batch_size=args.batch_size,
         workers=args.workers,
         shards=args.shards,
         model=args.model,
     )
     print(
-        f"headline: engine={headline.engine} batch={headline.batch_size} "
+        f"headline: engine={headline.engine} "
         f"workers={headline.workers} shards={headline.shards or '-'} -> "
         f"{headline.wall_seconds:.2f}s wall "
         f"({headline.faults_per_sec:,.0f} fault-evals/sec)"
@@ -275,14 +245,13 @@ def _predict(args, space, plans, tele) -> dict:
     sampled = []
     print(
         f"predicted sampled campaigns (engine={headline.engine} "
-        f"batch={headline.batch_size} workers={headline.workers}):"
+        f"workers={headline.workers}):"
     )
     print(f"  {'method':<14s} {'injections':>12s} {'wall(s)':>10s}")
     for plan in plans:
         prediction = cost_model.predict_sampled(
             plan,
             engine=headline.engine,
-            batch_size=headline.batch_size,
             workers=args.workers,
             shards=args.shards,
             model=args.model,

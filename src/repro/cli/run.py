@@ -68,15 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reference). Outcomes are bit-identical in all three.",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help="plan engines only: same-layer faults evaluated per tail "
-        "pass, their corrupted channels seeded by one GEMM (default: 16; "
-        "plan_vectorized: 256)",
-    )
-    parser.add_argument(
         "--live",
         action="store_true",
         help="really inject each sampled fault instead of replaying the "
@@ -119,7 +110,6 @@ def main(argv: list[str] | None = None) -> int:
             args.model,
             eval_size=args.eval_size,
             engine_kind=args.engine,
-            batch_size=args.batch_size,
             workers=args.workers,
             shards=args.shards,
             resume=not args.no_resume,

@@ -14,11 +14,14 @@ the same statistical machinery to that fault model:
   and every planner work unchanged.
 - :class:`ActivationInferenceEngine` classifies activation faults with the
   same prefix-cache trick: the golden output of stage *s* is corrupted in
-  place of recomputing it, and only stages ``s+1..`` run.
+  place of recomputing it, and only stages ``s+1..`` run.  It implements
+  the :class:`~repro.faults.oracle.Oracle` protocol, so campaign runners
+  take it directly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,13 +133,16 @@ class ActivationInferenceEngine:
         """The golden output of *site*'s stage, shape (N, *site.shape)."""
         return self._activations[site.stage + 1]
 
-    def _corrupt(self, fault: Fault) -> np.ndarray | None:
-        """Corrupted copy of the faulted stage output (None if masked)."""
+    def _faulty_predictions(self, fault: Fault) -> np.ndarray | None:
+        """Top-1 predictions with *fault* injected (None if masked).
+
+        Corrupts a copy of the faulted stage's golden output and runs
+        only the stages after it.
+        """
         site = self.sites[fault.layer]
         golden = self.site_activation(site)
         flat = golden.reshape(len(golden), -1)
-        column = flat[:, fault.index]
-        bits = self.fmt.encode(column)
+        bits = self.fmt.encode(flat[:, fault.index])
         stuck = fault.model.stuck_value
         if stuck is None:
             corrupted = flip_bit(self.fmt, bits, fault.bit)
@@ -144,39 +150,33 @@ class ActivationInferenceEngine:
             corrupted = apply_stuck_at(self.fmt, bits, fault.bit, stuck)
         if np.array_equal(corrupted, bits):
             return None
-        faulty_column = self.fmt.decode_native(corrupted).astype(np.float32)
-        faulty = flat.copy()
-        faulty[:, fault.index] = faulty_column
-        return faulty.reshape(golden.shape)
-
-    def predictions_with_fault(self, fault: Fault) -> np.ndarray:
-        """Top-1 predictions with *fault* injected (runs inference)."""
-        site = self.sites[fault.layer]
-        corrupted = self._corrupt(fault)
-        if corrupted is None:
-            return self.golden_predictions
-        x = corrupted
+        x = flat.copy()
+        x[:, fault.index] = self.fmt.decode_native(corrupted).astype(np.float32)
+        x = x.reshape(golden.shape)
         with np.errstate(all="ignore"):
             for stage in self.stages[site.stage + 1 :]:
                 x = stage.forward_fast(x)
         self.inference_count += 1
         return x.argmax(axis=1)
 
+    def predictions_with_fault(self, fault: Fault) -> np.ndarray:
+        """Top-1 predictions with *fault* injected (runs inference)."""
+        predictions = self._faulty_predictions(fault)
+        return self.golden_predictions if predictions is None else predictions
+
     def classify(self, fault: Fault) -> FaultOutcome:
         """Outcome of injecting *fault* into the activation stream."""
-        corrupted = self._corrupt(fault)
-        if corrupted is None:
+        predictions = self._faulty_predictions(fault)
+        if predictions is None:
             return FaultOutcome.MASKED
-        site = self.sites[fault.layer]
-        x = corrupted
-        with np.errstate(all="ignore"):
-            for stage in self.stages[site.stage + 1 :]:
-                x = stage.forward_fast(x)
-        self.inference_count += 1
         return classify_predictions(
-            x.argmax(axis=1),
+            predictions,
             self.golden_predictions,
             self.labels,
             policy=self.policy,
             threshold=self.threshold,
         )
+
+    def classify_many(self, faults: Sequence[Fault]) -> list[FaultOutcome]:
+        """Outcomes of a batch of faults, in input order."""
+        return [self.classify(fault) for fault in faults]

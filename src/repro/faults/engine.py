@@ -104,7 +104,8 @@ class FaultInjectionEngine:
 
     #: Engine identity folded into the fingerprint ("module" / "plan").
     kind = "base"
-    #: Faults evaluated per tail pass; 1 means classic one-at-a-time.
+    #: Faults evaluated per tail pass, fixed per engine class (1 means
+    #: classic one-at-a-time); an execution detail, never an outcome one.
     batch_size = 1
 
     def __init__(
@@ -207,11 +208,10 @@ class FaultInjectionEngine:
     def classify_many(self, faults: Sequence[Fault]) -> list[FaultOutcome]:
         """Classify a batch of faults (order of outcomes matches input).
 
-        Non-masked faults are grouped by target layer and classified in
-        :attr:`batch_size` chunks through :meth:`predictions_for_faults`
-        — on a batching engine, same-layer faults share tail passes; on
-        the module engine (batch size one) this is exactly the classic
-        sequential loop.
+        Masked faults short-circuit; every other fault goes through one
+        :meth:`predictions_for_faults` call — on a batching engine,
+        same-layer faults share tail passes; on the module engine this
+        is exactly the classic sequential loop.
         """
         if self.telemetry.enabled:
             with self.telemetry.span(
@@ -223,45 +223,22 @@ class FaultInjectionEngine:
         return self._classify_many(faults)
 
     def _classify_many(self, faults: Sequence[Fault]) -> list[FaultOutcome]:
-        # Faults are grouped by target layer at *every* batch size, not
-        # just on batching engines: per-layer caches (the plan engine's
-        # im2col columns cache, prefix materialisations) are reused
-        # across consecutive same-layer faults, where a shuffled
-        # campaign order would rebuild them per fault.  Outcomes are
-        # scattered back by position, so results are order-independent.
-        outcomes: list[FaultOutcome | None] = [None] * len(faults)
-        by_layer: dict[int, list[int]] = {}
-        for pos, fault in enumerate(faults):
-            if self.injector.is_masked(fault):
-                outcomes[pos] = FaultOutcome.MASKED
-            else:
-                by_layer.setdefault(fault.layer, []).append(pos)
-        for positions in by_layer.values():
-            if self.batch_size == 1:
-                # Keep the grouping (cache reuse) but skip the
-                # batched dispatch: predictions_for_faults would
-                # np.stack every single-row result, which is measurable
-                # against the <2% NullTelemetry overhead budget.
-                for pos in positions:
-                    outcomes[pos] = classify_predictions(
-                        self.predictions_with_fault(faults[pos]),
-                        self.golden_predictions,
-                        self.labels,
-                        policy=self.policy,
-                        threshold=self.threshold,
-                    )
-                continue
-            for start in range(0, len(positions), self.batch_size):
-                chunk = positions[start : start + self.batch_size]
-                rows = self.predictions_for_faults([faults[p] for p in chunk])
-                for pos, row in zip(chunk, rows):
-                    outcomes[pos] = classify_predictions(
-                        row,
-                        self.golden_predictions,
-                        self.labels,
-                        policy=self.policy,
-                        threshold=self.threshold,
-                    )
+        outcomes = [FaultOutcome.MASKED] * len(faults)
+        live = [
+            pos
+            for pos, fault in enumerate(faults)
+            if not self.injector.is_masked(fault)
+        ]
+        if live:
+            rows = self.predictions_for_faults([faults[p] for p in live])
+            for pos, row in zip(live, rows):
+                outcomes[pos] = classify_predictions(
+                    row,
+                    self.golden_predictions,
+                    self.labels,
+                    policy=self.policy,
+                    threshold=self.threshold,
+                )
         return outcomes
 
 

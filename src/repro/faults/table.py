@@ -39,13 +39,13 @@ def _classify_cell(
     """Outcomes of every fault in one (layer, bit) cell: ``(weights, models)``.
 
     Masked faults are detected vectorised (no inference); every other
-    fault goes through :meth:`~repro.faults.FaultInjectionEngine.
-    predictions_for_faults` in ``engine.batch_size`` chunks — the plan
-    engines evaluate each chunk in one tail pass (one seeding GEMM, then
-    the tail per variant), the module engine (batch size one) runs the
-    classic one-inference-per-fault loop.  Cells are the campaign's unit of parallelism and
-    checkpointing: independent, deterministic, and a few hundred per
-    model.
+    fault of a fault model goes through one :meth:`~repro.faults.
+    FaultInjectionEngine.predictions_for_faults` call — the plan engines
+    cut it into tail passes of their own batch size (one seeding GEMM,
+    then the tail per variant), the module engine runs the classic
+    one-inference-per-fault loop.  Cells are the campaign's unit of
+    parallelism and checkpointing: independent, deterministic, and a few
+    hundred per model.
     """
     layer = space.layers[layer_idx]
     fmt = space.fmt
@@ -55,10 +55,6 @@ def _classify_cell(
     golden_bits = fmt.encode(layer.flat_weights())
     mask = np.array(1, dtype=fmt.uint_dtype) << np.array(bit, dtype=fmt.uint_dtype)
     bit_is_one = (golden_bits & mask) != 0
-    batch = max(1, int(getattr(engine, "batch_size", 1)))
-    # Duck-typed engines (test doubles, adapters) may only implement the
-    # single-fault entry point.
-    batch_predictions = getattr(engine, "predictions_for_faults", None)
     for model_idx, fault_model in enumerate(models):
         stuck = fault_model.stuck_value
         if stuck == 0:
@@ -69,24 +65,22 @@ def _classify_cell(
             masked = np.zeros(size, dtype=bool)
         cell[masked, model_idx] = FaultOutcome.MASKED
         live = np.flatnonzero(~masked)
-        for start in range(0, len(live), batch):
-            chunk = live[start : start + batch]
-            faults = [
+        if not live.size:
+            continue
+        rows = engine.predictions_for_faults(
+            [
                 Fault(layer=layer_idx, index=int(i), bit=bit, model=fault_model)
-                for i in chunk
+                for i in live
             ]
-            if batch_predictions is not None:
-                rows = batch_predictions(faults)
-            else:
-                rows = [engine.predictions_with_fault(f) for f in faults]
-            for index, predictions in zip(chunk, rows):
-                cell[index, model_idx] = classify_predictions(
-                    predictions,
-                    engine.golden_predictions,
-                    engine.labels,
-                    policy=engine.policy,
-                    threshold=engine.threshold,
-                )
+        )
+        for index, predictions in zip(live, rows):
+            cell[index, model_idx] = classify_predictions(
+                predictions,
+                engine.golden_predictions,
+                engine.labels,
+                policy=engine.policy,
+                threshold=engine.threshold,
+            )
     return cell
 
 

@@ -11,11 +11,7 @@ tail, and adds no-flip certification and a stacked walk over the rows
 certification cannot retire.
 """
 
-from repro.runtime.engine import (
-    DEFAULT_BATCH_SIZE,
-    PlanEngine,
-    create_engine,
-)
+from repro.runtime.engine import PlanEngine, create_engine
 from repro.runtime.plan import (
     OP_KINDS,
     ExecutionPlan,
@@ -23,14 +19,9 @@ from repro.runtime.plan import (
     PlanBuilder,
     capture_plan,
 )
-from repro.runtime.vectorized import (
-    DEFAULT_VEC_BATCH_SIZE,
-    VectorizedPlanEngine,
-)
+from repro.runtime.vectorized import VectorizedPlanEngine
 
 __all__ = [
-    "DEFAULT_BATCH_SIZE",
-    "DEFAULT_VEC_BATCH_SIZE",
     "ExecutionPlan",
     "OP_KINDS",
     "OpSpec",

@@ -46,9 +46,6 @@ from repro.runtime.plan import OpSpec, capture_plan
 from repro.telemetry import Telemetry
 from repro.tensor.im2col import conv_output_size
 
-#: Default number of same-layer faults evaluated per tail pass.
-DEFAULT_BATCH_SIZE = 16
-
 #: Ops that touch each channel independently (or merely renumber
 #: channels): a single dirty channel can be replayed through them in
 #: isolation, bit-identically to the full op.
@@ -62,9 +59,6 @@ class PlanEngine(FaultInjectionEngine):
 
     Parameters mirror :class:`repro.faults.InferenceEngine`, plus:
 
-    batch_size:
-        Same-layer faults per tail pass (>= 1): their corrupted weight
-        rows share one GEMM; the dense tail runs one variant at a time.
     backend:
         Kernel backend instance (None → the numpy reference).
         Non-reference backends seed every fault from the full faulty op
@@ -73,6 +67,9 @@ class PlanEngine(FaultInjectionEngine):
     """
 
     kind = "plan"
+    #: Same-layer faults per tail pass: their corrupted weight rows
+    #: share one GEMM; the dense tail runs one variant at a time.
+    batch_size = 16
 
     def __init__(
         self,
@@ -84,11 +81,8 @@ class PlanEngine(FaultInjectionEngine):
         policy: str = "accuracy_drop",
         threshold: float = 0.0,
         telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         backend: Backend | None = None,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         super().__init__(
             model,
             images,
@@ -113,7 +107,6 @@ class PlanEngine(FaultInjectionEngine):
             self.telemetry.counter("check.plans_verified").add(1)
         else:
             self.plan_fingerprint = check_plan(self.plan)
-        self.batch_size = int(batch_size)
         instrument = None
         if self.telemetry.enabled:
             def instrument(op):
@@ -189,7 +182,7 @@ class PlanEngine(FaultInjectionEngine):
 
     def predictions_for_faults(self, faults: Sequence[Fault]) -> np.ndarray:
         """Faulty top-1 predictions, ``(K, N)``; same-layer faults share
-        tail passes."""
+        tail passes of up to :attr:`batch_size` faults each."""
         if not faults:
             return np.empty((0, len(self.images)), dtype=np.int64)
         if self.telemetry.enabled:
@@ -198,17 +191,20 @@ class PlanEngine(FaultInjectionEngine):
         return self._predictions_for_faults(faults)
 
     def _predictions_for_faults(self, faults: Sequence[Fault]) -> np.ndarray:
+        # The one place faults are grouped: per layer, so consecutive
+        # batches reuse the layer's cached im2col columns, and cut into
+        # batch_size chunks.  Rows land back at their input positions.
         by_layer: dict[int, list[int]] = {}
         for pos, fault in enumerate(faults):
             by_layer.setdefault(fault.layer, []).append(pos)
-        rows = [None] * len(faults)
+        preds = np.empty((len(faults), len(self.images)), dtype=np.intp)
         for layer_idx, positions in by_layer.items():
             for start in range(0, len(positions), self.batch_size):
                 chunk = positions[start : start + self.batch_size]
-                preds = self._run_batch(layer_idx, [faults[p] for p in chunk])
-                for pos, row in zip(chunk, preds):
-                    rows[pos] = row
-        return np.stack(rows)
+                preds[chunk] = self._run_batch(
+                    layer_idx, [faults[p] for p in chunk]
+                )
+        return preds
 
     # -- fault seeding -------------------------------------------------------
 
@@ -417,7 +413,6 @@ def create_engine(
     policy: str = "accuracy_drop",
     threshold: float = 0.0,
     telemetry: Telemetry | None = None,
-    batch_size: int | None = None,
     backend: Backend | None = None,
 ) -> FaultInjectionEngine:
     """Build a fault-classification engine of the requested *kind*.
@@ -434,10 +429,7 @@ def create_engine(
     against them.
     """
     if kind == "plan_vectorized":
-        from repro.runtime.vectorized import (
-            DEFAULT_VEC_BATCH_SIZE,
-            VectorizedPlanEngine,
-        )
+        from repro.runtime.vectorized import VectorizedPlanEngine
 
         return VectorizedPlanEngine(
             model,
@@ -447,9 +439,6 @@ def create_engine(
             policy=policy,
             threshold=threshold,
             telemetry=telemetry,
-            batch_size=(
-                DEFAULT_VEC_BATCH_SIZE if batch_size is None else batch_size
-            ),
             backend=backend,
         )
     if kind == "plan":
@@ -461,12 +450,9 @@ def create_engine(
             policy=policy,
             threshold=threshold,
             telemetry=telemetry,
-            batch_size=DEFAULT_BATCH_SIZE if batch_size is None else batch_size,
             backend=backend,
         )
     if kind == "module":
-        if batch_size not in (None, 1):
-            raise ValueError("the module engine evaluates faults one at a time")
         if not resolve_backend(backend).is_reference:
             raise ValueError(
                 "the module engine replays forward_fast verbatim — it is "

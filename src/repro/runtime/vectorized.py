@@ -112,12 +112,6 @@ CERT_MIN_ROWS = 48
 #: per row.
 DENSE_ALIVE_DIV = 6
 
-#: Default same-layer faults per batch.  Much larger than the exact
-#: engine's: the certified walk's cost scales with surviving rows, not
-#: K, so a big variant axis amortises the per-op call overhead that
-#: dominates at this model scale.
-DEFAULT_VEC_BATCH_SIZE = 256
-
 
 class VectorizedPlanEngine(PlanEngine):
     """Certified variant-axis vectorized execution over a captured plan.
@@ -129,6 +123,11 @@ class VectorizedPlanEngine(PlanEngine):
     """
 
     kind = "plan_vectorized"
+    #: Same-layer faults per batch.  Much larger than the exact
+    #: engine's: the certified walk's cost scales with surviving rows,
+    #: not K, so a big variant axis amortises the per-op call overhead
+    #: that dominates at this model scale.
+    batch_size = 256
 
     def __init__(
         self,
@@ -140,7 +139,6 @@ class VectorizedPlanEngine(PlanEngine):
         policy: str = "accuracy_drop",
         threshold: float = 0.0,
         telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_VEC_BATCH_SIZE,
         backend: Backend | None = None,
     ) -> None:
         resolved = resolve_backend(backend)
@@ -158,7 +156,6 @@ class VectorizedPlanEngine(PlanEngine):
             policy=policy,
             threshold=threshold,
             telemetry=telemetry,
-            batch_size=batch_size,
             backend=resolved,
         )
         # Lazy: repro.check reasons about runtime; runtime must not

@@ -64,7 +64,6 @@ def load_or_run_exhaustive(
     eval_size: int = 64,
     policy: str = "accuracy_drop",
     engine_kind: str = "plan",
-    batch_size: int | None = None,
     workers: int | None = 1,
     shards: int | None = None,
     resume: bool = True,
@@ -82,8 +81,7 @@ def load_or_run_exhaustive(
 
     *engine_kind* selects ``"plan"`` (default), ``"plan_vectorized"``
     or ``"module"`` (reference) execution; all three are bit-identical
-    in outcomes, so every kind shares the cache.  *batch_size* tunes how
-    many same-layer faults share one tail pass (plan engines only).
+    in outcomes, so every kind shares the cache.
 
     With *shards* set the cold-cache campaign instead goes through
     :func:`repro.dist.run_sharded_exhaustive`: the work is split into
@@ -106,7 +104,6 @@ def load_or_run_exhaustive(
         data.labels,
         kind=engine_kind,
         policy=policy,
-        batch_size=batch_size,
         telemetry=telemetry,
     )
     space = FaultSpace(engine.layers)

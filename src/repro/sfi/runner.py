@@ -72,14 +72,7 @@ def execute_plan_items(
             continue
         rng = stratum_rng(seed, index)
         faults = sample_subpopulation(subpop, item.sample_size, rng)
-        classify_many = getattr(oracle, "classify_many", None)
-        if classify_many is not None:
-            # Batching oracles (plan engine) share tail passes across
-            # same-layer faults; tallies are order-independent, so the
-            # result is identical to the per-fault loop.
-            outcomes = classify_many(faults)
-        else:
-            outcomes = [oracle.classify(fault) for fault in faults]
+        outcomes = oracle.classify_many(faults)
         for fault, outcome in zip(faults, outcomes):
             tally = tallies.setdefault((fault.layer, fault.bit), [0, 0, 0])
             tally[0] += 1

@@ -19,7 +19,7 @@ The fault-injection stack is instrumented end to end, off by default:
   times, faults/sec, worker utilisation) behind the ``repro-stats`` CLI.
 - :mod:`repro.telemetry.costmodel` — the campaign cost model fitted
   from those summaries: predicts wall clock and fault-evaluations per
-  engine/batch/worker choice, tunes ``repro-dist submit --auto``, and
+  engine kind and worker count, tunes ``repro-dist submit --auto``, and
   is validated by predicted-vs-actual accounting in ``repro-stats``.
 
 Instrumented call sites accept ``telemetry=None`` and gate on

@@ -5,16 +5,18 @@ cost — per-(layer, bit) cell wall times in the journal, engine
 throughput in ``BENCH_engine.json``, worker utilisation in fleet
 journals.  This module closes the loop: it fits those measurements into
 a :class:`CostModel` that prices a campaign *before* it runs
-(``repro-plan --predict``), picks engine kind / batch size / shard
-granularity for ``repro-dist submit --auto``, and — because every
+(``repro-plan --predict``), picks engine kind and shard granularity
+for ``repro-dist submit --auto``, and — because every
 prediction is journalled as a ``campaign_predicted`` event — lets
 ``repro-stats`` report predicted-vs-actual error so the model is
 continuously validated against reality.
 
 The model is deliberately simple and inspectable: per-layer
 seconds-per-fault fitted from measured cells, a relative engine-speed
-table from the throughput bench, and an observed worker-utilisation
-factor.  Every prediction carries the features it was derived from.
+table keyed by engine kind from the throughput bench (each engine runs
+at its own fixed batch size, so the kind is the whole configuration),
+and an observed worker-utilisation factor.  Every prediction carries
+the features it was derived from.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ DEFAULT_UTILISATION = 0.9
 #: attestation overhead stays negligible.
 DEFAULT_TARGET_SHARD_SECONDS = 30.0
 
+#: ``create_engine`` kinds the bench rates and predictions are keyed by.
+_ENGINE_KINDS = ("module", "plan", "plan_vectorized")
+
 
 class CostModelError(RuntimeError):
     """The cost model cannot be fitted or applied as requested."""
@@ -42,30 +47,30 @@ class CostModelError(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineRate:
-    """One engine configuration's measured throughput (from the bench)."""
+    """One engine kind's measured throughput (from the bench)."""
 
-    name: str  # bench row name: module / plan / plan_batched / ...
     kind: str  # create_engine kind: module / plan / plan_vectorized
-    batch_size: int
     faults_per_sec: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "batch_size": self.batch_size,
-            "faults_per_sec": self.faults_per_sec,
-        }
+        return {"kind": self.kind, "faults_per_sec": self.faults_per_sec}
 
 
-#: Bench row name -> create_engine kind.  ``plan_batched`` is the plan
-#: engine at its batched configuration, not a distinct kind.
-_BENCH_KINDS = {
-    "module": "module",
-    "plan": "plan",
-    "plan_batched": "plan",
-    "plan_vectorized": "plan_vectorized",
-}
+def _kind_rates(rows: dict) -> dict[str, EngineRate]:
+    """Rates keyed by engine kind; rows named otherwise are skipped.
+
+    Bench files and saved cost models written before batch size became
+    an engine constant also carry a ``plan_batched`` row and per-row
+    ``batch_size`` fields; the former is not a kind, the latter is
+    ignored.
+    """
+    return {
+        kind: EngineRate(
+            kind=kind, faults_per_sec=float(rows[kind]["faults_per_sec"])
+        )
+        for kind in _ENGINE_KINDS
+        if kind in rows
+    }
 
 
 def load_bench(path: str | os.PathLike) -> dict[str, EngineRate]:
@@ -77,24 +82,7 @@ def load_bench(path: str | os.PathLike) -> dict[str, EngineRate]:
     """
     with open(path, encoding="utf-8") as stream:
         payload = json.load(stream)
-    engines = payload.get("engines", {})
-    rates = {}
-    for name in sorted(engines):
-        row = engines[name]
-        rates[name] = EngineRate(
-            name=name,
-            kind=_BENCH_KINDS.get(name, name),
-            batch_size=int(row.get("batch_size", 1)),
-            faults_per_sec=float(row["faults_per_sec"]),
-        )
-    return rates
-
-
-def _bench_name(kind: str, batch_size: int) -> str:
-    """The bench row pricing one (engine kind, batch size) choice."""
-    if kind == "plan" and batch_size > 1:
-        return "plan_batched"
-    return kind
+    return _kind_rates(payload.get("engines", {}))
 
 
 @dataclass(frozen=True)
@@ -104,7 +92,6 @@ class CampaignPrediction:
     kind: str  # "exhaustive" | "sampled"
     model: str | None
     engine: str
-    batch_size: int
     workers: int
     shards: int | None
     fault_evals: int
@@ -125,7 +112,6 @@ class CampaignPrediction:
             "kind": self.kind,
             "model": self.model,
             "engine": self.engine,
-            "batch_size": self.batch_size,
             "workers": self.workers,
             "shards": self.shards,
             "fault_evals": self.fault_evals,
@@ -153,14 +139,13 @@ class CostModel:
     wall seconds per fault in that layer's cells (masked faults included
     — they are part of every cell's population and their near-zero cost
     is priced into the mean).  ``engine_rates`` carries the throughput
-    bench, used only for *relative* speed between engine choices — the
-    absolute faults/sec transfers poorly across hosts and models, the
-    ratio transfers well.
+    bench keyed by engine kind, used only for *relative* speed between
+    engine choices — the absolute faults/sec transfers poorly across
+    hosts and models, the ratio transfers well.
     """
 
     model: str | None = None
     measured_engine: str = "module"
-    measured_batch_size: int = 1
     seconds_per_fault: float = 0.0
     layer_seconds_per_fault: dict[int, float] = field(default_factory=dict)
     engine_rates: dict[str, EngineRate] = field(default_factory=dict)
@@ -176,20 +161,17 @@ class CostModel:
             "cells_observed": self.cells_observed,
             "faults_observed": self.faults_observed,
             "measured_engine": self.measured_engine,
-            "measured_batch_size": self.measured_batch_size,
             "bench_engines": sorted(self.engine_rates),
         }
 
-    def engine_scale(self, kind: str, batch_size: int) -> float:
+    def engine_scale(self, kind: str) -> float:
         """Seconds multiplier from the measured engine to *kind*.
 
         Derived from the bench's relative rates; 1.0 when either side is
         missing from the bench (prediction falls back to measured cost).
         """
-        source = self.engine_rates.get(
-            _bench_name(self.measured_engine, self.measured_batch_size)
-        )
-        target = self.engine_rates.get(_bench_name(kind, batch_size))
+        source = self.engine_rates.get(self.measured_engine)
+        target = self.engine_rates.get(kind)
         if source is None or target is None:
             return 1.0
         if target.faults_per_sec <= 0:
@@ -199,13 +181,6 @@ class CostModel:
     def layer_rate(self, layer: int) -> float:
         """Measured seconds per fault for one layer (global fallback)."""
         return self.layer_seconds_per_fault.get(layer, self.seconds_per_fault)
-
-    def batch_size_for(self, kind: str) -> int:
-        """The batch size the bench measured *kind* at (1 if unknown)."""
-        for rate in self.engine_rates.values():
-            if rate.kind == kind and rate.batch_size > 1:
-                return rate.batch_size
-        return 1
 
     # -- prediction ------------------------------------------------------
 
@@ -227,7 +202,6 @@ class CostModel:
         space,
         *,
         engine: str | None = None,
-        batch_size: int | None = None,
         workers: int = 1,
         shards: int | None = None,
         model: str | None = None,
@@ -239,13 +213,7 @@ class CostModel:
                 "journal with cell_done events first"
             )
         engine = engine or self.measured_engine
-        if batch_size is None:
-            batch_size = (
-                self.measured_batch_size
-                if engine == self.measured_engine
-                else self.batch_size_for(engine)
-            )
-        scale = self.engine_scale(engine, batch_size)
+        scale = self.engine_scale(engine)
         bits = space.bits
         serial = 0.0
         for layer in range(len(space.layers)):
@@ -256,7 +224,6 @@ class CostModel:
             kind="exhaustive",
             model=model or self.model,
             engine=engine,
-            batch_size=int(batch_size),
             workers=int(workers),
             shards=shards,
             fault_evals=int(space.total_population),
@@ -272,7 +239,6 @@ class CostModel:
         plan,
         *,
         engine: str | None = None,
-        batch_size: int | None = None,
         workers: int = 1,
         shards: int | None = None,
         model: str | None = None,
@@ -284,13 +250,7 @@ class CostModel:
                 "journal with cell_done events first"
             )
         engine = engine or self.measured_engine
-        if batch_size is None:
-            batch_size = (
-                self.measured_batch_size
-                if engine == self.measured_engine
-                else self.batch_size_for(engine)
-            )
-        scale = self.engine_scale(engine, batch_size)
+        scale = self.engine_scale(engine)
         serial = 0.0
         for item in plan.items:
             layer = getattr(item.subpopulation, "layer", None)
@@ -305,7 +265,6 @@ class CostModel:
             kind="sampled",
             model=model or self.model,
             engine=engine,
-            batch_size=int(batch_size),
             workers=int(workers),
             shards=shards,
             fault_evals=int(plan.total_injections),
@@ -322,15 +281,14 @@ class CostModel:
         return {
             "model": self.model,
             "measured_engine": self.measured_engine,
-            "measured_batch_size": self.measured_batch_size,
             "seconds_per_fault": self.seconds_per_fault,
             "layer_seconds_per_fault": {
                 str(layer): rate
                 for layer, rate in sorted(self.layer_seconds_per_fault.items())
             },
             "engine_rates": {
-                name: rate.to_dict()
-                for name, rate in sorted(self.engine_rates.items())
+                kind: rate.to_dict()
+                for kind, rate in sorted(self.engine_rates.items())
             },
             "utilisation": self.utilisation,
             "host_cpus": self.host_cpus,
@@ -340,19 +298,11 @@ class CostModel:
 
     @classmethod
     def from_dict(cls, record: dict) -> "CostModel":
-        rates = {
-            name: EngineRate(
-                name=row["name"],
-                kind=row["kind"],
-                batch_size=int(row["batch_size"]),
-                faults_per_sec=float(row["faults_per_sec"]),
-            )
-            for name, row in record.get("engine_rates", {}).items()
-        }
+        """Inverse of :meth:`to_dict`; an older record's
+        ``measured_batch_size`` is ignored."""
         return cls(
             model=record.get("model"),
             measured_engine=record.get("measured_engine", "module"),
-            measured_batch_size=int(record.get("measured_batch_size", 1)),
             seconds_per_fault=float(record.get("seconds_per_fault", 0.0)),
             layer_seconds_per_fault={
                 int(layer): float(rate)
@@ -360,7 +310,7 @@ class CostModel:
                     "layer_seconds_per_fault", {}
                 ).items()
             },
-            engine_rates=rates,
+            engine_rates=_kind_rates(record.get("engine_rates", {})),
             utilisation=float(
                 record.get("utilisation", DEFAULT_UTILISATION)
             ),
@@ -395,9 +345,9 @@ def fit_cost_model(
 
     Cell wall times come from every summary holding ``cell_done``
     records; worker utilisation from every summary with per-worker
-    accounting (fleet journals).  The measured engine/batch is taken
-    from the first campaign that declared one (``campaign_start``
-    carries both since the plan engine landed).  The fit host's core
+    accounting (fleet journals).  The measured engine is taken from the
+    first campaign that declared one (``campaign_start`` carries it
+    since the plan engine landed).  The fit host's core
     count is recorded so wall predictions never assume more parallelism
     than the hardware offers.
     """
@@ -408,14 +358,12 @@ def fit_cost_model(
     cells = 0
     utilisations: list[float] = []
     measured_engine = None
-    measured_batch = None
     fitted_model = model
     for summary in summaries:
         if fitted_model is None:
             fitted_model = summary.info.get("model")
         if measured_engine is None and "engine" in summary.info:
             measured_engine = summary.info["engine"]
-            measured_batch = int(summary.info.get("batch_size", 1))
         for cell in summary.cells:
             if cell.faults <= 0 or cell.seconds < 0:
                 continue
@@ -444,7 +392,6 @@ def fit_cost_model(
     return CostModel(
         model=fitted_model,
         measured_engine=measured_engine or "module",
-        measured_batch_size=measured_batch or 1,
         seconds_per_fault=total_seconds / total_faults,
         layer_seconds_per_fault={
             layer: layer_seconds[layer] / layer_faults[layer]
@@ -464,17 +411,15 @@ def fit_cost_model(
 
 @dataclass(frozen=True)
 class SubmitChoice:
-    """Engine / batch / shard choice for an auto-tuned submission."""
+    """Engine / shard choice for an auto-tuned submission."""
 
     engine: str
-    batch_size: int
     shards: int
     prediction: CampaignPrediction
 
     def to_dict(self) -> dict:
         return {
             "engine": self.engine,
-            "batch_size": self.batch_size,
             "shards": self.shards,
             "prediction": self.prediction.to_dict(),
         }
@@ -486,10 +431,10 @@ def choose_submit_settings(
     *,
     workers: int = 1,
     target_shard_seconds: float = DEFAULT_TARGET_SHARD_SECONDS,
-    allowed_engines: tuple[str, ...] = ("plan", "plan_vectorized", "module"),
+    allowed_engines: tuple[str, ...] = _ENGINE_KINDS,
     model: str | None = None,
 ) -> SubmitChoice:
-    """Pick engine kind, batch size and shard count from the model.
+    """Pick engine kind and shard count from the model.
 
     The engine is the fastest benched configuration among
     *allowed_engines* (the measured engine when no bench is loaded);
@@ -497,20 +442,14 @@ def choose_submit_settings(
     time per shard, clamped so the fleet is never starved (at least one
     shard per worker) and shards never go below one cell.
     """
-    candidates: list[tuple[str, int]] = []
-    for rate in cost_model.engine_rates.values():
-        if rate.kind in allowed_engines:
-            candidates.append((rate.kind, rate.batch_size))
-    if not candidates:
-        candidates = [
-            (cost_model.measured_engine, cost_model.measured_batch_size)
-        ]
+    candidates = [
+        kind for kind in sorted(cost_model.engine_rates) if kind in allowed_engines
+    ] or [cost_model.measured_engine]
     best = None
-    for kind, batch_size in sorted(candidates):
+    for kind in candidates:
         prediction = cost_model.predict_exhaustive(
             space,
             engine=kind,
-            batch_size=batch_size,
             workers=workers,
             model=model,
         )
@@ -527,14 +466,12 @@ def choose_submit_settings(
     prediction = cost_model.predict_exhaustive(
         space,
         engine=best.engine,
-        batch_size=best.batch_size,
         workers=workers,
         shards=shards,
         model=model,
     )
     return SubmitChoice(
         engine=best.engine,
-        batch_size=best.batch_size,
         shards=shards,
         prediction=prediction,
     )
@@ -642,7 +579,7 @@ def format_comparisons(comparisons: list[PredictionComparison]) -> str:
         p = cmp.prediction
         lines.append(
             f"  predicted [{p.get('kind', '?')}] "
-            f"engine={p.get('engine', '?')} batch={p.get('batch_size', '?')} "
+            f"engine={p.get('engine', '?')} "
             f"workers={p.get('workers', '?')} shards={p.get('shards')}: "
             f"{float(p.get('wall_seconds') or 0.0):.2f}s wall, "
             f"{int(p.get('fault_evals') or 0):,} fault-evals"

@@ -396,7 +396,6 @@ def format_summary(summary: CampaignSummary, *, top_cells: int = 10) -> str:
             lines.append(
                 "  prediction: "
                 f"engine={prediction.get('engine', '?')} "
-                f"batch={prediction.get('batch_size', '?')} "
                 f"workers={prediction.get('workers', '?')} -> "
                 f"{float(wall):.2f}s wall, {int(evals):,} fault-evals"
                 if wall is not None and evals is not None

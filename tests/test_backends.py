@@ -139,14 +139,9 @@ class TestPlanBackendWiring:
 def foreign_engines(tiny_model, tiny_eval_set):
     images, labels = tiny_eval_set
     return (
-        PlanEngine(tiny_model, images, labels, batch_size=8),
+        PlanEngine(tiny_model, images, labels),
         create_engine(
-            tiny_model,
-            images,
-            labels,
-            kind="plan",
-            batch_size=8,
-            backend=ForeignBackend(),
+            tiny_model, images, labels, kind="plan", backend=ForeignBackend()
         ),
     )
 

@@ -173,27 +173,32 @@ class TestMultiJournalMerge:
         assert forward["campaigns"][0]["faults_classified"] == 500
 
 
+def _predicted_then_worked(path, **prediction) -> None:
+    """A journalled prediction followed by the campaign it priced."""
+    tele = Telemetry(journal=Journal(path))
+    tele.emit(
+        "campaign_predicted",
+        kind="exhaustive",
+        engine="plan",
+        workers=2,
+        shards=4,
+        fault_evals=1000,
+        wall_seconds=2.0,
+        serial_seconds=4.0,
+        utilisation=1.0,
+        engine_scale=1.0,
+        **prediction,
+    )
+    worker = Telemetry(journal=Journal(path))
+    worker.emit("campaign_start", kind="exhaustive", total=1000)
+    worker.emit("cell_done", layer=0, bit=0, seconds=1.5, faults=1000)
+    worker.emit("campaign_end", elapsed_seconds=1.5, faults=1000)
+
+
 class TestPredictedVsActualSection:
     def test_prediction_followed_by_work_is_reported(self, tmp_path, capsys):
         path = tmp_path / "j.jsonl"
-        tele = Telemetry(journal=Journal(path))
-        tele.emit(
-            "campaign_predicted",
-            kind="exhaustive",
-            engine="plan",
-            batch_size=16,
-            workers=2,
-            shards=4,
-            fault_evals=1000,
-            wall_seconds=2.0,
-            serial_seconds=4.0,
-            utilisation=1.0,
-            engine_scale=1.0,
-        )
-        worker = Telemetry(journal=Journal(path))
-        worker.emit("campaign_start", kind="exhaustive", total=1000)
-        worker.emit("cell_done", layer=0, bit=0, seconds=1.5, faults=1000)
-        worker.emit("campaign_end", elapsed_seconds=1.5, faults=1000)
+        _predicted_then_worked(path)
 
         assert stats_main([str(path)]) == 0
         out = capsys.readouterr().out
@@ -207,3 +212,18 @@ class TestPredictedVsActualSection:
         comparison = payload["predicted_vs_actual"][0]
         assert comparison["actual_fault_evals"] == 1000
         assert comparison["evals_ratio"] == pytest.approx(1.0)
+
+    def test_prediction_journalled_with_batch_size_is_reported(
+        self, tmp_path, capsys
+    ):
+        """Journals written while batch size was an option carry it in
+        ``campaign_predicted``; they still summarise, without it."""
+        path = tmp_path / "j.jsonl"
+        _predicted_then_worked(path, batch_size=16)
+
+        assert stats_main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "prediction: engine=plan workers=2" in out
+        assert "predicted [exhaustive] engine=plan workers=2" in out
+        assert "error: wall" in out
+        assert "batch=" not in out

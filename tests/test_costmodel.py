@@ -68,12 +68,11 @@ def measured_journal(tmp_path):
     return path
 
 
-def bench_file(tmp_path, rates: dict[str, tuple[int, float]]):
+def bench_file(tmp_path, rates: dict[str, float]):
     path = tmp_path / "BENCH_engine.json"
     payload = {
         "engines": {
-            name: {"batch_size": batch, "faults_per_sec": fps}
-            for name, (batch, fps) in rates.items()
+            kind: {"faults_per_sec": fps} for kind, fps in rates.items()
         }
     }
     path.write_text(json.dumps(payload))
@@ -86,7 +85,6 @@ class TestFit:
         assert model.cells_observed == 3
         assert model.faults_observed == 3000
         assert model.measured_engine == "plan"
-        assert model.measured_batch_size == 4
         assert model.layer_seconds_per_fault[0] == pytest.approx(0.001)
         assert model.layer_seconds_per_fault[1] == pytest.approx(0.002)
         # Global rate blends both for layers never observed.
@@ -105,9 +103,7 @@ class TestFit:
 
     def test_roundtrips_through_json(self, measured_journal, tmp_path):
         model = fit_cost_model(summarize_journal(measured_journal))
-        model.engine_rates = {
-            "plan": EngineRate("plan", "plan", 1, 100.0)
-        }
+        model.engine_rates = {"plan": EngineRate("plan", 100.0)}
         out = tmp_path / "cm.json"
         model.save(out)
         back = CostModel.load(out)
@@ -120,44 +116,110 @@ class TestFit:
         back = CostModel.from_dict(legacy)
         assert back.to_dict() == model.to_dict()
 
+    def test_loads_record_saved_with_batch_sizes(self, tmp_path, tiny_space):
+        """Records saved while batch size was an option carry
+        ``measured_batch_size`` and rates keyed by bench row name; the
+        ``plan_batched`` row is not an engine kind and is skipped."""
+        def row(name, kind, batch, fps):
+            return {
+                "name": name,
+                "kind": kind,
+                "batch_size": batch,
+                "faults_per_sec": fps,
+            }
+
+        path = tmp_path / "older.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "model": "synthetic",
+                    "measured_engine": "plan",
+                    "measured_batch_size": 16,
+                    "seconds_per_fault": 0.002,
+                    "layer_seconds_per_fault": {"0": 0.001},
+                    "engine_rates": {
+                        "module": row("module", "module", 1, 50.0),
+                        "plan": row("plan", "plan", 1, 100.0),
+                        "plan_batched": row("plan_batched", "plan", 16, 120.0),
+                        "plan_vectorized": row(
+                            "plan_vectorized", "plan_vectorized", 256, 200.0
+                        ),
+                    },
+                    "utilisation": 0.9,
+                    "host_cpus": 2,
+                    "cells_observed": 3,
+                    "faults_observed": 3000,
+                }
+            )
+        )
+        model = CostModel.load(path)
+        assert sorted(model.engine_rates) == ["module", "plan", "plan_vectorized"]
+        assert model.engine_rates["plan"] == EngineRate("plan", 100.0)
+        assert model.engine_scale("module") == pytest.approx(2.0)
+        assert "measured_batch_size" not in model.to_dict()
+        prediction = model.predict_exhaustive(tiny_space)
+        assert prediction.engine == "plan"
+        assert "batch_size" not in prediction.to_dict()
+
 
 class TestBench:
     def test_load_bench_maps_kinds(self, tmp_path):
         path = bench_file(
             tmp_path,
-            {
-                "module": (1, 50.0),
-                "plan": (1, 100.0),
-                "plan_batched": (16, 200.0),
-                "plan_vectorized": (256, 400.0),
-            },
+            {"module": 50.0, "plan": 200.0, "plan_vectorized": 400.0},
         )
         rates = load_bench(path)
-        assert rates["plan_batched"].kind == "plan"
-        assert rates["plan_batched"].batch_size == 16
+        assert sorted(rates) == ["module", "plan", "plan_vectorized"]
+        assert rates["plan"] == EngineRate("plan", 200.0)
         assert rates["plan_vectorized"].kind == "plan_vectorized"
         assert rates["module"].faults_per_sec == 50.0
+
+    def test_load_bench_reads_older_layout(self, tmp_path):
+        """A bench file written while batch size was an option: per-row
+        ``batch_size`` and a ``plan_batched`` row, which is not an
+        engine kind and is skipped."""
+        path = tmp_path / "BENCH_engine.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "engines": {
+                        "module": {"batch_size": 1, "faults_per_sec": 50.0},
+                        "plan": {"batch_size": 1, "faults_per_sec": 100.0},
+                        "plan_batched": {
+                            "batch_size": 16,
+                            "faults_per_sec": 200.0,
+                        },
+                        "plan_vectorized": {
+                            "batch_size": 256,
+                            "faults_per_sec": 400.0,
+                        },
+                    },
+                    "history": [],
+                }
+            )
+        )
+        rates = load_bench(path)
+        assert sorted(rates) == ["module", "plan", "plan_vectorized"]
+        assert rates["plan"] == EngineRate("plan", 100.0)
+        assert rates["plan_vectorized"].faults_per_sec == 400.0
 
     def test_engine_scale_is_relative(self, measured_journal, tmp_path):
         bench = load_bench(
             bench_file(
                 tmp_path,
-                {
-                    "module": (1, 50.0),
-                    "plan_batched": (4, 200.0),
-                },
+                {"module": 50.0, "plan": 200.0},
             )
         )
         model = fit_cost_model(summarize_journal(measured_journal), bench=bench)
-        # Measured on plan@4 (bench row plan_batched, 200 f/s); module
-        # runs at a quarter of that, so module predictions cost 4x.
-        assert model.engine_scale("module", 1) == pytest.approx(4.0)
-        assert model.engine_scale("plan", 4) == pytest.approx(1.0)
+        # Measured on plan (200 f/s); module runs at a quarter of
+        # that, so module predictions cost 4x.
+        assert model.engine_scale("module") == pytest.approx(4.0)
+        assert model.engine_scale("plan") == pytest.approx(1.0)
 
     def test_missing_bench_rows_scale_to_one(self, measured_journal):
         model = fit_cost_model(summarize_journal(measured_journal))
-        assert model.engine_scale("module", 1) == 1.0
-        assert model.engine_scale("plan_vectorized", 256) == 1.0
+        assert model.engine_scale("module") == 1.0
+        assert model.engine_scale("plan_vectorized") == 1.0
 
 
 class TestPredict:
@@ -264,17 +326,11 @@ class TestChooseSubmitSettings:
         bench = load_bench(
             bench_file(
                 tmp_path,
-                {
-                    "module": (1, 50.0),
-                    "plan": (1, 100.0),
-                    "plan_batched": (16, 200.0),
-                    "plan_vectorized": (256, 400.0),
-                },
+                {"module": 50.0, "plan": 200.0, "plan_vectorized": 400.0},
             )
         )
         return CostModel(
             measured_engine="plan",
-            measured_batch_size=16,
             seconds_per_fault=0.005,
             engine_rates=bench,
             utilisation=1.0,
@@ -286,12 +342,10 @@ class TestChooseSubmitSettings:
         model = self.make_model(tmp_path)
         choice = choose_submit_settings(model, tiny_space, workers=2)
         assert choice.engine == "plan_vectorized"
-        assert choice.batch_size == 256
         exact_only = choose_submit_settings(
             model, tiny_space, workers=2, allowed_engines=("plan", "module")
         )
         assert exact_only.engine == "plan"
-        assert exact_only.batch_size == 16
 
     def test_shards_track_target_seconds(self, tmp_path, tiny_space):
         model = self.make_model(tmp_path)
@@ -321,7 +375,6 @@ class TestPredictedVsActual:
             "campaign_predicted",
             kind="exhaustive",
             engine="plan",
-            batch_size=16,
             workers=2,
             shards=4,
             fault_evals=2000,

@@ -114,17 +114,8 @@ class TestCampaignsOverActivations:
         assert plan.total_injections > 0
 
     def test_statistical_campaign_runs(self, engine, space):
-        class ActivationOracle:
-            def __init__(self, eng):
-                self.eng = eng
-
-            def classify(self, fault):
-                return self.eng.classify(fault)
-
         plan = DataUnawareSFI(error_margin=0.2, confidence=0.9).plan(space)
-        result = CampaignRunner(ActivationOracle(engine), space).run(
-            plan, seed=0
-        )
+        result = CampaignRunner(engine, space).run(plan, seed=0)
         assert result.total_injections == plan.total_injections
         net = result.network_estimate()
         assert 0.0 <= net.p_hat <= 1.0

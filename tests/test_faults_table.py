@@ -142,15 +142,18 @@ class _RetargetedEngine:
         self.images = engine.images
         self.inference_count = 0
 
-    def predictions_with_fault(self, fault):
-        shifted = Fault(
-            layer=fault.layer + self._offset,
-            index=fault.index,
-            bit=fault.bit,
-            model=fault.model,
-        )
-        self.inference_count += 1
-        return self._engine.predictions_with_fault(shifted)
+    def predictions_for_faults(self, faults):
+        shifted = [
+            Fault(
+                layer=fault.layer + self._offset,
+                index=fault.index,
+                bit=fault.bit,
+                model=fault.model,
+            )
+            for fault in faults
+        ]
+        self.inference_count += len(faults)
+        return self._engine.predictions_for_faults(shifted)
 
 
 class TestOracles:

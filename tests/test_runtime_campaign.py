@@ -34,9 +34,7 @@ def campaign_setup():
     module_engine = InferenceEngine(
         model, data.images, data.labels, fmt=FLOAT16
     )
-    plan_engine = PlanEngine(
-        model, data.images, data.labels, fmt=FLOAT16, batch_size=8
-    )
+    plan_engine = PlanEngine(model, data.images, data.labels, fmt=FLOAT16)
     space = FaultSpace(module_engine.layers, fmt=FLOAT16)
     return module_engine, plan_engine, space
 
@@ -240,14 +238,13 @@ class TestCliWiring:
 
         args = build_parser().parse_args([])
         assert args.engine == "plan"
-        assert args.batch_size is None
-        args = build_parser().parse_args(
-            ["--engine", "module", "--batch-size", "4"]
-        )
+        args = build_parser().parse_args(["--engine", "module"])
         assert args.engine == "module"
-        assert args.batch_size == 4
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--engine", "jit"])
+        # Batch size is each engine's constant, not an option.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--batch-size", "4"])
 
     def test_repro_dist_submit_engine_flags(self):
         from repro.cli.dist import build_parser

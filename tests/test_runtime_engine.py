@@ -13,7 +13,7 @@ from repro.faults import (
 )
 from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR
-from repro.runtime import DEFAULT_BATCH_SIZE, PlanEngine, create_engine
+from repro.runtime import PlanEngine, create_engine
 from repro.telemetry import Telemetry
 
 
@@ -22,7 +22,7 @@ def engines(tiny_model, tiny_eval_set):
     images, labels = tiny_eval_set
     return (
         InferenceEngine(tiny_model, images, labels),
-        PlanEngine(tiny_model, images, labels, batch_size=8),
+        PlanEngine(tiny_model, images, labels),
     )
 
 
@@ -101,18 +101,19 @@ class TestInferenceAccounting:
         """A tail pass covering K faults counts K inferences (satellite:
         faults/sec stays comparable across engines)."""
         images, labels = tiny_eval_set
-        engine = PlanEngine(tiny_model, images, labels, batch_size=8)
+        engine = PlanEngine(tiny_model, images, labels)
+        count = engine.batch_size + 4
         faults = [
             Fault(layer=1, index=i, bit=24, model=FaultModel.BIT_FLIP)
-            for i in range(8)
+            for i in range(count)
         ]
         engine.classify_many(faults)
-        assert engine.inference_count == 8
-        assert engine.tail_passes == 1
+        assert engine.inference_count == count
+        assert engine.tail_passes == 2
 
     def test_op_cache_accounting(self, tiny_model, tiny_eval_set):
         images, labels = tiny_eval_set
-        engine = PlanEngine(tiny_model, images, labels, batch_size=4)
+        engine = PlanEngine(tiny_model, images, labels)
         last_layer = len(engine.layers) - 1
         fault = Fault(
             layer=last_layer, index=0, bit=30, model=FaultModel.BIT_FLIP
@@ -129,9 +130,7 @@ class TestInferenceAccounting:
     ):
         images, labels = tiny_eval_set
         tele = Telemetry(run_id="test-plan-engine")
-        engine = PlanEngine(
-            tiny_model, images, labels, batch_size=8, telemetry=tele
-        )
+        engine = PlanEngine(tiny_model, images, labels, telemetry=tele)
         faults = [
             Fault(layer=1, index=i, bit=24, model=FaultModel.BIT_FLIP)
             for i in range(5)
@@ -178,8 +177,7 @@ class TestFingerprint:
     def test_fingerprint_stable_across_instances(self, tiny_model, tiny_eval_set):
         images, labels = tiny_eval_set
         a = PlanEngine(tiny_model, images, labels)
-        b = PlanEngine(tiny_model, images, labels, batch_size=4)
-        # batch_size is an execution detail, not an outcome-changing one.
+        b = PlanEngine(tiny_model, images, labels)
         assert a.fingerprint() == b.fingerprint()
 
     def test_fingerprint_tracks_weights(self, tiny_eval_set):
@@ -197,7 +195,7 @@ class TestCreateEngine:
         engine = create_engine(tiny_model, images, labels)
         assert isinstance(engine, PlanEngine)
         assert engine.kind == "plan"
-        assert engine.batch_size == DEFAULT_BATCH_SIZE
+        assert engine.batch_size == 16
         assert isinstance(engine, FaultInjectionEngine)
 
     def test_module_kind(self, tiny_model, tiny_eval_set):
@@ -207,20 +205,7 @@ class TestCreateEngine:
         assert engine.kind == "module"
         assert engine.batch_size == 1
 
-    def test_module_refuses_batch_size(self, tiny_model, tiny_eval_set):
-        images, labels = tiny_eval_set
-        with pytest.raises(ValueError, match="one at a time"):
-            create_engine(
-                tiny_model, images, labels, kind="module", batch_size=8
-            )
-
     def test_unknown_kind(self, tiny_model, tiny_eval_set):
         images, labels = tiny_eval_set
         with pytest.raises(ValueError, match="unknown engine kind"):
             create_engine(tiny_model, images, labels, kind="jit")
-
-    def test_plan_engine_rejects_bad_batch_size(self, tiny_model, tiny_eval_set):
-        images, labels = tiny_eval_set
-        with pytest.raises(ValueError, match="batch_size"):
-            PlanEngine(tiny_model, images, labels, batch_size=0)
-

@@ -2,7 +2,8 @@
 
 Hypothesis drives randomized mini models, fault coordinates across all
 three fault models, and every classification policy; the batched plan
-engine must reproduce the module engine's outcomes exactly.
+engine must reproduce the module engine's outcomes exactly, fed K
+faults per call so every seeding width from one row up is exercised.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ _POLICIES = ["accuracy_drop", "any_mismatch", "accuracy_threshold"]
     model_seed=st.integers(min_value=0, max_value=7),
     policy=st.sampled_from(_POLICIES),
     use_half=st.booleans(),
-    batch_size=st.integers(min_value=1, max_value=6),
+    per_call=st.integers(min_value=1, max_value=6),
     data=st.data(),
 )
 def test_plan_outcomes_match_module(
-    widths, model_seed, policy, use_half, batch_size, data
+    widths, model_seed, policy, use_half, per_call, data
 ):
     model = ResNetCIFAR(blocks_per_stage=1, widths=widths, seed=model_seed)
     model.eval()
@@ -41,7 +42,7 @@ def test_plan_outcomes_match_module(
         model, eval_set.images, eval_set.labels, **kwargs
     )
     plan_engine = PlanEngine(
-        model, eval_set.images, eval_set.labels, batch_size=batch_size, **kwargs
+        model, eval_set.images, eval_set.labels, **kwargs
     )
 
     faults = []
@@ -64,8 +65,11 @@ def test_plan_outcomes_match_module(
                 )
             )
 
-    assert plan_engine.classify_many(faults) == module_engine.classify_many(
-        faults
-    )
+    plan_outcomes = []
+    for start in range(0, len(faults), per_call):
+        plan_outcomes += plan_engine.classify_many(
+            faults[start : start + per_call]
+        )
+    assert plan_outcomes == module_engine.classify_many(faults)
     # Batched tail passes still count one logical inference per fault.
     assert plan_engine.inference_count == module_engine.inference_count

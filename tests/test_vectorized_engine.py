@@ -32,12 +32,7 @@ from repro.faults import (
 )
 from repro.ieee754 import FLOAT16
 from repro.models import ResNetCIFAR, create_model
-from repro.runtime import (
-    DEFAULT_VEC_BATCH_SIZE,
-    PlanEngine,
-    VectorizedPlanEngine,
-    create_engine,
-)
+from repro.runtime import PlanEngine, VectorizedPlanEngine, create_engine
 
 
 @pytest.fixture(scope="module")
@@ -46,11 +41,9 @@ def tiny_setup():
     model = ResNetCIFAR(blocks_per_stage=1, widths=(2, 4, 6), seed=3)
     model.eval()
     data = SynthCIFAR("test", size=8, seed=42)
-    exact = PlanEngine(
-        model, data.images, data.labels, fmt=FLOAT16, batch_size=8
-    )
+    exact = PlanEngine(model, data.images, data.labels, fmt=FLOAT16)
     vectorized = VectorizedPlanEngine(
-        model, data.images, data.labels, fmt=FLOAT16, batch_size=64
+        model, data.images, data.labels, fmt=FLOAT16
     )
     space = FaultSpace(exact.layers, fmt=FLOAT16)
     return exact, vectorized, space
@@ -84,9 +77,7 @@ def small_setup():
     model.eval()
     data = SynthCIFAR("test", size=32, seed=42)
     exact = PlanEngine(model, data.images, data.labels)
-    vectorized = VectorizedPlanEngine(
-        model, data.images, data.labels, batch_size=256
-    )
+    vectorized = VectorizedPlanEngine(model, data.images, data.labels)
     return exact, vectorized
 
 
@@ -136,6 +127,25 @@ class TestBitIdentity:
         assert dense > 0
         assert survivors > 0
 
+    def test_faults_beyond_one_batch_are_bit_identical(self, small_setup):
+        """More same-layer faults than one batch holds, interleaved with
+        another layer's: both engines cut them into several tail passes
+        and every row still lands at its input position."""
+        exact, vectorized = small_setup
+        wide = layer_faults(
+            exact, "blocks.2.conv2", 22, FaultModel.STUCK_AT_1
+        )[:300]
+        head = layer_faults(exact, "head.fc", 22, FaultModel.STUCK_AT_1)
+        assert len(wide) > vectorized.batch_size
+        order = np.random.default_rng(5).permutation(len(wide) + len(head))
+        faults = [(wide + head)[i] for i in order]
+        passes = vectorized.tail_passes
+        preds = vectorized.predictions_for_faults(faults)
+        assert vectorized.tail_passes - passes == 3
+        np.testing.assert_array_equal(
+            preds, exact.predictions_for_faults(faults)
+        )
+
     def test_walk_flips_are_bit_identical(self, small_setup):
         """Few-row survivors finish on the certified walk from stacked
         start rows; where one really flips, the walk must reproduce the
@@ -163,10 +173,8 @@ class TestBitIdentity:
         model = create_model("mobilenetv2_mini")
         model.eval()
         data = SynthCIFAR("test", size=8, seed=42)
-        exact = PlanEngine(model, data.images, data.labels, batch_size=8)
-        vectorized = VectorizedPlanEngine(
-            model, data.images, data.labels, batch_size=64
-        )
+        exact = PlanEngine(model, data.images, data.labels)
+        vectorized = VectorizedPlanEngine(model, data.images, data.labels)
         faults = all_layer_faults(exact, bits=(1, 24, 30))
         preds_exact = exact.predictions_for_faults(faults)
         preds_vec = vectorized.predictions_for_faults(faults)
@@ -300,7 +308,7 @@ class TestFingerprints:
         )
         assert isinstance(engine, VectorizedPlanEngine)
         assert engine.kind == "plan_vectorized"
-        assert engine.batch_size == DEFAULT_VEC_BATCH_SIZE
+        assert engine.batch_size == 256
 
 
 class TestMixedEngineDist:
@@ -327,7 +335,7 @@ class TestMixedEngineDist:
         other_model.eval()
         data = SynthCIFAR("test", size=8, seed=42)
         other = PlanEngine(
-            other_model, data.images, data.labels, fmt=FLOAT16, batch_size=8
+            other_model, data.images, data.labels, fmt=FLOAT16
         )
         other_space = FaultSpace(other.layers, fmt=FLOAT16)
         config = exhaustive_config(other, other_space)
@@ -351,6 +359,25 @@ class TestConformance:
         payload = report.to_dict()
         assert payload["model"] == "ResNetCIFAR"
         assert payload["flipped_faults"] == []
+
+    def test_conformance_runs_vectorized_at_campaign_batch_size(
+        self, monkeypatch
+    ):
+        """The gate checks the configuration campaigns run: vectorized
+        batches wider than the exact engine's 16 faults."""
+        sizes = []
+        run_batch = VectorizedPlanEngine._run_batch
+
+        def recording(self, layer_idx, faults):
+            sizes.append(len(faults))
+            return run_batch(self, layer_idx, faults)
+
+        monkeypatch.setattr(VectorizedPlanEngine, "_run_batch", recording)
+        model = ResNetCIFAR(blocks_per_stage=1, widths=(2, 4, 6), seed=3)
+        model.eval()
+        report = run_conformance(model, eval_size=8, faults=128, seed=1)
+        assert report.ok
+        assert max(sizes) > 16
 
 
 class TestCliWiring:
