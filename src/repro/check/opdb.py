@@ -8,7 +8,7 @@ depthwise / grouped convolutions), degenerate single-channel tensors,
 denormal-heavy inputs (where flushed-to-zero arithmetic diverges), and
 non-contiguous views (where layout-sensitive kernels misread strides).
 
-:func:`repro.check.conformance.run_op_conformance` drives three checks
+:func:`repro.check.conformance.run_op_conformance` drives four checks
 over every (kind, sample, backend) triple:
 
 1. **cross-backend agreement** — the backend's output against the numpy
@@ -17,7 +17,12 @@ over every (kind, sample, backend) triple:
    produce bitwise-equal rows whether samples run stacked or separately
    (``"never"`` claims are unfalsifiable and skipped — claiming
    non-invariance is always safe, it only costs chunked execution);
-3. **plan-vs-module equivalence** — the reference backend's op-level
+3. **channel-slice falsification** — an op the kernel table claims
+   channel-separable must give, run on one channel alone, exactly that
+   channel of the full output, and changing one input channel must
+   leave the other output channels unchanged (reference backend;
+   unclaimed ops are skipped for the same reason as in 2);
+4. **plan-vs-module equivalence** — the reference backend's op-level
    kernel against the owning module's ``forward_fast``, bitwise.
 
 Every kind in ``OP_KINDS`` must have at least one sample here —
@@ -150,6 +155,10 @@ def _conv_sample(
             bias=bias,
             rng=rng,
         )
+        if bias:
+            conv.bias.data[:] = rng.standard_normal(out_channels).astype(
+                np.float32
+            )
         x = _tensor(
             rng,
             (batch, in_channels, input_hw, input_hw),
@@ -269,6 +278,18 @@ OP_SAMPLES: dict[str, tuple[OpSample, ...]] = {
         _conv_sample("k3_pad1_bias", 3, 5, 3, 8, padding=1, bias=True),
         _conv_sample("k3_stride2", 4, 6, 3, 9, stride=2, padding=1),
         _conv_sample("depthwise", 6, 6, 3, 8, padding=1, groups=6),
+        _conv_sample(
+            "depthwise_stride2_batch7", 8, 8, 3, 9, stride=2, padding=1,
+            groups=8, bias=True, batch=7,
+        ),
+        _conv_sample(
+            "depthwise_denormal", 5, 5, 3, 8, padding=1, groups=5,
+            denormal=True,
+        ),
+        _conv_sample(
+            "depthwise_noncontig", 4, 4, 3, 8, stride=2, padding=1,
+            groups=4, noncontig=True,
+        ),
         _conv_sample("grouped", 8, 8, 3, 8, padding=1, groups=2),
         _conv_sample("degenerate_c1", 1, 2, 3, 8, padding=1, batch=1),
         _conv_sample("denormal_heavy", 3, 4, 3, 8, padding=1, denormal=True),

@@ -293,7 +293,7 @@ def _cmd_conform(args) -> int:
 
 
 def _cmd_conform_ops(args) -> int:
-    from repro.check.conformance import run_op_conformance
+    from repro.check.conformance import OP_CHECKS, run_op_conformance
 
     results = run_op_conformance(seed=args.seed)
     failures = [r for r in results if not r.ok]
@@ -302,6 +302,10 @@ def _cmd_conform_ops(args) -> int:
         per_backend[result.backend] = per_backend.get(result.backend, 0) + 1
     for name in sorted(per_backend):
         print(f"backend {name}: {per_backend[name]} check(s)")
+    for check in OP_CHECKS:
+        ran = [r for r in results if r.check == check]
+        passed = sum(r.ok for r in ran)
+        print(f"check {check}: {passed}/{len(ran)} passed")
     for result in failures:
         print(
             f"FAIL {result.backend}/{result.kind} sample={result.sample} "

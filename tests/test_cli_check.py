@@ -81,6 +81,23 @@ class TestLintCommand:
         assert main(["lint", "src/repro"]) == 0
 
 
+class TestConformOpsCommand:
+    def test_prints_pass_counts_per_check_kind(self, tmp_path, capsys):
+        target = tmp_path / "ops.json"
+        assert main(["conform", "--ops", "--out", str(target)]) == 0
+        out = capsys.readouterr().out
+        checks = json.loads(target.read_text())["checks"]
+        for kind in (
+            "agreement",
+            "batch_invariance",
+            "channel_slice",
+            "module_equivalence",
+        ):
+            ran = sum(check["check"] == kind for check in checks)
+            assert ran > 0
+            assert f"check {kind}: {ran}/{ran} passed" in out
+
+
 class TestRulesCommand:
     def test_catalogue_lists_both_passes(self, capsys):
         assert main(["rules"]) == 0

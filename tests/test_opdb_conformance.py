@@ -9,12 +9,17 @@ Two guarantees:
   can silently run an unchecked kernel.
 - **Falsifiability** — the conformance runner actually catches lies: a
   backend that mis-declares batch invariance or a bit-exact tolerance
-  class is flagged by the empirical checks (mutation tests).
+  class, or a kernel-table row that claims channel separability for a
+  channel-mixing conv, is flagged by the empirical checks (mutation
+  tests).
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from repro.backends import (
     BACKEND_OP_KINDS,
@@ -70,6 +75,28 @@ class TestConformancePasses:
         assert OP_KINDS <= exercised
         assert set(BACKEND_PRIMITIVES) <= exercised
 
+    def test_channel_slice_covers_every_claimed_sample(self):
+        results = run_op_conformance(backends=[REFERENCE_BACKEND])
+        sliced = {
+            (r.kind, r.sample) for r in results if r.check == "channel_slice"
+        }
+        assert {kind for kind, _ in sliced} == {
+            "conv2d",
+            "batchnorm2d",
+            "relu",
+            "relu6",
+            "subsample2d",
+            "pad_channels",
+        }
+        # Depthwise convs at stride 1 and 2, a 7-row batch, denormal and
+        # non-contiguous inputs; no channel-mixing conv is claimed.
+        assert {s for kind, s in sliced if kind == "conv2d"} == {
+            "depthwise",
+            "depthwise_stride2_batch7",
+            "depthwise_denormal",
+            "depthwise_noncontig",
+        }
+
     def test_results_are_deterministic(self):
         backends = [REFERENCE_BACKEND]
         first = [r.to_dict() for r in run_op_conformance(backends=backends)]
@@ -122,6 +149,24 @@ class TestMutationCatches:
             if not r.ok and r.check == "agreement" and r.kind == "linear"
         ]
         assert failed, "agreement check did not falsify the tolerance lie"
+
+    @pytest.mark.parametrize("sample", ["grouped", "pointwise"])
+    def test_false_channel_separability_claim_is_caught(
+        self, monkeypatch, sample
+    ):
+        conv = KERNEL_TABLE["conv2d"]
+        monkeypatch.setitem(
+            KERNEL_TABLE,
+            "conv2d",
+            dataclasses.replace(conv, channel_separable=lambda op: True),
+        )
+        results = run_op_conformance(kinds=["conv2d"])
+        failed = [
+            r
+            for r in results
+            if not r.ok and r.check == "channel_slice" and r.sample == sample
+        ]
+        assert failed, "channel_slice check did not falsify the claim"
 
     def test_honest_subclass_passes(self):
         # Control: the same harness does not flag an honest backend.
