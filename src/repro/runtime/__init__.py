@@ -4,7 +4,8 @@
 forward-only :class:`ExecutionPlan` of primitive ops over explicit
 buffer slots (:func:`capture_plan`), and classifies weight faults over
 it with :class:`PlanEngine` — op-granular prefix caching, one seeding
-path (a row GEMM plus single-channel replay, or the full faulty op) and
+path (a row GEMM or a depthwise kernel on one channel, plus
+single-channel replay, or the full faulty op) and
 one exact dense tail, bit-identical to the module engine.
 :class:`VectorizedPlanEngine` runs on the same seeding path and dense
 tail, and adds no-flip certification and a stacked walk over the rows
